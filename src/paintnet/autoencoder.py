@@ -1,18 +1,20 @@
-"""Convolutional autoencoder assembly, denoising corruption, and pretraining.
+"""Layer stages, the autoencoder, denoising corruption, and the SGD loop.
 
-The model is a fixed eight-stage stack: conv, pool, conv, pool on the way
-down, then unpool, deconv, unpool, deconv mirroring it on the way up.
-Each decoder unpooling consumes the switches recorded by its mirror
-pooling stage (the pooling closest to the input feeds the unpooling
-closest to the output).  Pretraining corrupts a fresh random pixel subset
-of every image each epoch and minimizes mean squared reconstruction error
-against the clean original.
+Every model is an ordered list of named stages run by one forward loop
+and one backward loop.  The autoencoder is eight stages: conv, pool,
+conv, pool on the way down, then unpool, deconv, unpool, deconv
+mirroring it on the way up.  Each decoder unpooling names the pooling
+whose switches it consumes (the pooling closest to the input feeds the
+unpooling closest to the output).  Pretraining corrupts a fresh random
+pixel subset of every image each epoch and minimizes mean squared
+reconstruction error against the clean original.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .layers import (
     Activation,
     Conv2DLayer,
     Deconv2DLayer,
+    init_weights,
     maxpool2x2_backward,
     maxpool2x2_forward,
     unpool2x2_backward,
@@ -87,91 +90,155 @@ def shape_chain(config: CAEConfig) -> list[tuple[int, int, int]]:
     ]
 
 
+# ---------------------------------------------------------------------------
+# stages
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class CorruptionMask:
-    """Pixel coordinates zeroed across all channels of one image."""
+class Stage:
+    """One named step of a model.
 
-    coords: frozenset[tuple[int, int]]
+    kind is conv, pool, deconv, unpool, flatten or dense; conv, deconv
+    and dense stages hold their layer.  ref names the pool whose switches
+    an unpool reads, or the conv whose kernel a tied deconv shares.
+    """
 
-    def __len__(self) -> int:
-        return len(self.coords)
+    name: str
+    kind: str
+    layer: object = None
+    ref: str | None = None
 
 
-class CAEModel:
-    """Encoder conv/pool pair stack plus its mirrored unpool/deconv decoder."""
+# tensor(name, shape) -> array: where a stage builder gets its parameters
+TensorSource = Callable[[str, tuple[int, ...]], Tensor]
 
-    def __init__(self, config: CAEConfig, conv1: Conv2DLayer, conv2: Conv2DLayer,
-                 dec2: Deconv2DLayer, dec1: Deconv2DLayer):
-        self.config = config
-        self.conv1 = conv1
-        self.conv2 = conv2
-        self.dec2 = dec2  # mirrors conv2: maps c2 feature maps back to c1
-        self.dec1 = dec1  # mirrors conv1: maps c1 feature maps back to the image
 
-    def shape_chain(self) -> list[tuple[int, int, int]]:
-        return shape_chain(self.config)
+def seeded(rng: Rng) -> TensorSource:
+    """Fresh parameters: kernels drawn from rng in request order, biases zero."""
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+        return np.zeros(shape) if name.endswith(".b") else init_weights(shape, rng)
+    return tensor
+
+
+def conv_stage(name: str, c_in: int, c_out: int, k: int, activation: str,
+               tensor: TensorSource) -> Stage:
+    return Stage(name, "conv", Conv2DLayer(tensor(f"{name}.W", (c_out, c_in, k, k)),
+                                           tensor(f"{name}.b", (c_out,)), Activation(activation)))
+
+
+def deconv_stage(name: str, conv: Stage, activation: str, tied: bool,
+                 tensor: TensorSource) -> Stage:
+    """Transposed conv mirroring conv's channel mapping, tied to its kernel or learned."""
+    c_out, c_in, k, _ = conv.layer.weights.shape
+    if tied:
+        layer = Deconv2DLayer(tied_to=conv.layer, bias=tensor(f"{name}.b", (c_in,)),
+                              activation=Activation(activation))
+        return Stage(name, "deconv", layer, ref=conv.name)
+    layer = Deconv2DLayer(weights=tensor(f"{name}.W", (c_in, c_out, k, k)),
+                          bias=tensor(f"{name}.b", (c_in,)), activation=Activation(activation))
+    return Stage(name, "deconv", layer)
+
+
+def encoder_stages(input_channels: int, conv_channels: tuple[int, int], kernel: int,
+                   activation: str, tensor: TensorSource) -> list[Stage]:
+    c1, c2 = conv_channels
+    return [conv_stage("enc1", input_channels, c1, kernel, activation, tensor),
+            Stage("pool1", "pool"),
+            conv_stage("enc2", c1, c2, kernel, activation, tensor),
+            Stage("pool2", "pool")]
+
+
+def cae_stages(config: CAEConfig, tensor: TensorSource) -> list[Stage]:
+    """The eight autoencoder stages; parameters come from tensor in stage order."""
+    enc = encoder_stages(config.input_channels, config.conv_channels, config.kernel,
+                         config.hidden_activation, tensor)
+    return enc + [
+        Stage("unpool2", "unpool", ref="pool2"),
+        deconv_stage("dec2", enc[2], config.hidden_activation, config.tied_decoder, tensor),
+        Stage("unpool1", "unpool", ref="pool1"),
+        deconv_stage("dec1", enc[0], config.output_activation, config.tied_decoder, tensor),
+    ]
+
+
+def stage_parameters(stages: list[Stage]) -> dict[str, Tensor]:
+    """<stage>.W and <stage>.b of every stage that owns them, in stage order.
+
+    A tied deconv owns only its bias; its kernel is the conv's.
+    """
+    params = {}
+    for st in stages:
+        if st.layer is not None:
+            if st.layer.weights is not None:
+                params[f"{st.name}.W"] = st.layer.weights
+            params[f"{st.name}.b"] = st.layer.bias
+    return params
+
+
+class StageStack:
+    """Stages run in order by one forward loop and in reverse by one backward loop.
+
+    Stages before trained_from are frozen: they get no gradients and
+    the backward loop stops short of them.
+    """
+
+    def __init__(self, input_shape: tuple[int, int, int], stages: list[Stage],
+                 trained_from: int = 0):
+        self.input_shape = tuple(input_shape)
+        self.stages = stages
+        self.trained_from = trained_from
+
+    def layer(self, name: str):
+        """The layer of the stage called name."""
+        return {st.name: st.layer for st in self.stages}[name]
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params = {
-            "enc1.W": self.conv1.weights,
-            "enc1.b": self.conv1.bias,
-            "enc2.W": self.conv2.weights,
-            "enc2.b": self.conv2.bias,
-        }
-        if not self.config.tied_decoder:
-            params["dec2.W"] = self.dec2.weights
-            params["dec1.W"] = self.dec1.weights
-        params["dec2.b"] = self.dec2.bias
-        params["dec1.b"] = self.dec1.bias
-        return params
+        return stage_parameters(self.stages[self.trained_from:])
 
     def forward(self, x: Tensor):
-        """Run the full stack; returns (reconstruction, caches)."""
-        expected = (self.config.input_channels, *self.config.input_size)
-        if x.shape != expected:
-            raise ShapeError(f"autoencoder input must be {expected}, got {x.shape}")
-        a1, c_conv1 = self.conv1.forward(x)
-        p1, s1 = maxpool2x2_forward(a1)
-        a2, c_conv2 = self.conv2.forward(p1)
-        p2, s2 = maxpool2x2_forward(a2)
-        u2 = unpool2x2_forward(p2, s2)
-        d2, c_dec2 = self.dec2.forward(u2)
-        u1 = unpool2x2_forward(d2, s1)
-        recon, c_dec1 = self.dec1.forward(u1)
-        caches = {"conv1": c_conv1, "s1": s1, "conv2": c_conv2, "s2": s2,
-                  "dec2": c_dec2, "dec1": c_dec1}
-        return recon, caches
+        """Run every stage; returns (output, caches keyed by stage name)."""
+        if x.shape != self.input_shape:
+            raise ShapeError(f"model input must be {self.input_shape}, got {x.shape}")
+        caches = {}
+        for st in self.stages:
+            if st.kind == "pool":
+                x, caches[st.name] = maxpool2x2_forward(x)
+            elif st.kind == "unpool":
+                x = unpool2x2_forward(x, caches[st.ref])
+            elif st.kind == "flatten":
+                caches[st.name] = x.shape
+                x = x.reshape(-1)
+            else:
+                x, caches[st.name] = st.layer.forward(x)
+        return x, caches
 
-    def backward(self, caches, grad_recon: Tensor) -> dict[str, Tensor]:
-        """Parameter gradients for a reconstruction-loss gradient.
+    def backward(self, caches, grad_out: Tensor) -> dict[str, Tensor]:
+        """Gradients of every trained parameter for an output gradient.
 
-        Tied decoder kernels contribute their gradient to the shared
-        encoder weights.
+        A tied deconv's kernel gradient is added onto its conv's.
         """
-        g_u1, g_dec1 = self.dec1.backward(caches["dec1"], grad_recon)
-        g_d2 = unpool2x2_backward(caches["s1"], g_u1)
-        g_u2, g_dec2 = self.dec2.backward(caches["dec2"], g_d2)
-        g_p2 = unpool2x2_backward(caches["s2"], g_u2)
-        g_a2 = maxpool2x2_backward(caches["s2"], g_p2)
-        g_p1, g_conv2 = self.conv2.backward(caches["conv2"], g_a2)
-        g_a1 = maxpool2x2_backward(caches["s1"], g_p1)
-        _, g_conv1 = self.conv1.backward(caches["conv1"], g_a1)
-
-        grads = {
-            "enc1.W": g_conv1["W"],
-            "enc1.b": g_conv1["b"],
-            "enc2.W": g_conv2["W"],
-            "enc2.b": g_conv2["b"],
-        }
-        if self.config.tied_decoder:
-            grads["enc2.W"] = grads["enc2.W"] + g_dec2["tied_W"]
-            grads["enc1.W"] = grads["enc1.W"] + g_dec1["tied_W"]
-        else:
-            grads["dec2.W"] = g_dec2["W"]
-            grads["dec1.W"] = g_dec1["W"]
-        grads["dec2.b"] = g_dec2["b"]
-        grads["dec1.b"] = g_dec1["b"]
+        grads: dict[str, Tensor] = {}
+        g = grad_out
+        for st in reversed(self.stages[self.trained_from:]):
+            if st.kind == "pool":
+                g = maxpool2x2_backward(caches[st.name], g)
+            elif st.kind == "unpool":
+                g = unpool2x2_backward(caches[st.ref], g)
+            elif st.kind == "flatten":
+                g = g.reshape(caches[st.name])
+            else:
+                g, layer_grads = st.layer.backward(caches[st.name], g)
+                for key, grad in layer_grads.items():
+                    name = f"{st.ref}.W" if key == "tied_W" else f"{st.name}.{key}"
+                    grads[name] = grads[name] + grad if name in grads else grad
         return grads
+
+
+class CAEModel(StageStack):
+    """Encoder conv/pool pair stack plus its mirrored unpool/deconv decoder."""
+
+    def __init__(self, config: CAEConfig, stages: list[Stage]):
+        super().__init__((config.input_channels, *config.input_size), stages)
+        self.config = config
 
     # protocol used by optim.grad_check
     def loss_value(self, x: Tensor, clean: Tensor) -> float:
@@ -192,27 +259,17 @@ def build_cae(config: CAEConfig, seed: int) -> CAEModel:
     the draw order (conv1, conv2, then decoder kernels when untied) is
     fixed so a seed pins every parameter.
     """
-    rng = Rng.stream(seed, _INIT_STREAM)
-    c1, c2 = config.conv_channels
-    conv1 = Conv2DLayer.create(config.input_channels, c1, config.kernel,
-                               config.hidden_activation, rng)
-    conv2 = Conv2DLayer.create(c1, c2, config.kernel, config.hidden_activation, rng)
-    if config.tied_decoder:
-        dec2 = Deconv2DLayer.tied(conv2, config.hidden_activation)
-        dec1 = Deconv2DLayer.tied(conv1, config.output_activation)
-    else:
-        dec2 = Deconv2DLayer.create_learned(c2, c1, config.kernel,
-                                            config.hidden_activation, rng)
-        dec1 = Deconv2DLayer.create_learned(c1, config.input_channels, config.kernel,
-                                            config.output_activation, rng)
-    return CAEModel(config, conv1, conv2, dec2, dec1)
+    return CAEModel(config, cae_stages(config, seeded(Rng.stream(seed, _INIT_STREAM))))
 
 
-def corrupt(image: Tensor, fraction: float, rng: Rng) -> tuple[Tensor, CorruptionMask]:
+def corrupt(image: Tensor, fraction: float,
+            rng: Rng) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
     """Zero a random pixel subset across all channels; the original is untouched.
 
     Exactly round(fraction * H * W) distinct pixel locations are chosen
-    uniformly without replacement from the seeded generator.
+    uniformly without replacement from the seeded generator.  Returns
+    the corrupted copy and the (rows, cols) int arrays of the zeroed
+    pixels, in draw order.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"corruption fraction must be in [0, 1], got {fraction}")
@@ -225,8 +282,7 @@ def corrupt(image: Tensor, fraction: float, rng: Rng) -> tuple[Tensor, Corruptio
     cols = picks % w
     out = image.copy()
     out[:, rows, cols] = 0.0
-    mask = CorruptionMask(frozenset(zip(rows.tolist(), cols.tolist())))
-    return out, mask
+    return out, (rows, cols)
 
 
 def reconstruction_loss(reconstruction: Tensor, clean_original: Tensor) -> float:
@@ -237,22 +293,48 @@ def reconstruction_loss(reconstruction: Tensor, clean_original: Tensor) -> float
     return frobenius_sq_dist(reconstruction, clean_original) / reconstruction.size
 
 
-def _batches(order: list[int], size: int):
-    for i in range(0, len(order), size):
-        yield order[i:i + size]
+# ---------------------------------------------------------------------------
+# training
+# ---------------------------------------------------------------------------
 
+def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs: int,
+          seed: int, threads: int = 1) -> list[tuple[int, float, list]]:
+    """Minibatch SGD over count samples; returns (epoch, lr, per-sample stats) rows.
 
-def _mean_grads(per_sample: list[dict[str, Tensor]]) -> dict[str, Tensor]:
-    # fixed sample-index accumulation order keeps results bit-identical
-    # across thread counts
-    total = {k: v.copy() for k, v in per_sample[0].items()}
-    for grads in per_sample[1:]:
-        for k in total:
-            total[k] += grads[k]
-    inv = 1.0 / len(per_sample)
-    for k in total:
-        total[k] *= inv
-    return total
+    sample(epoch, index) -> (stats, gradients).  Every epoch shuffles
+    the visit order from the (seed, epoch) substream and applies the
+    scheduled learning rate.  Each batch's gradients are summed in
+    sample order as they arrive, whatever the thread count, then
+    divided by the batch length, so the thread count never changes a bit.
+    """
+    rows = []
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        for epoch in range(epochs):
+            lr = lr_at_epoch(opt, epoch)
+            order = list(range(count))
+            Rng.stream(seed, _ORDER_STREAM, epoch).shuffle(order)
+            stats = []
+            for start in range(0, count, opt.batch_size):
+                batch = order[start:start + opt.batch_size]
+                total = None
+                for info, grads in (pool.map if pool else map)(
+                        sample, [epoch] * len(batch), batch):
+                    stats.append(info)
+                    if total is None:
+                        total = grads  # a sample's gradients are fresh arrays
+                    else:
+                        for k in total:
+                            total[k] += grads[k]
+                    del grads  # at most one sample's gradients beside the sum
+                for k in total:
+                    total[k] /= len(batch)
+                sgd_step(params, total, lr)
+            rows.append((epoch, lr, stats))
+    finally:
+        if pool:
+            pool.shutdown()
+    return rows
 
 
 def pretrain(model: CAEModel, images: list[Tensor], opt: SGDConfig, epochs: int,
@@ -261,80 +343,41 @@ def pretrain(model: CAEModel, images: list[Tensor], opt: SGDConfig, epochs: int,
 
     Every epoch draws a fresh corruption mask per image from the
     (seed, epoch, image index) substream, shuffles the visit order, and
-    applies the scheduled learning rate.  Returns the model and rows of
+    applies the scheduled learning rate.  threads workers compute the
+    per-sample gradients of a batch.  Returns the model and rows of
     (epoch, learning_rate, mean_loss).  Fully deterministic given seed.
     """
     if not images:
         raise DataError("pretraining needs a non-empty image list")
-    expected = (model.config.input_channels, *model.config.input_size)
     for i, img in enumerate(images):
-        if img.shape != expected:
-            raise ShapeError(f"image {i} has shape {img.shape}, expected {expected}")
-
+        if img.shape != model.input_shape:
+            raise ShapeError(f"image {i} has shape {img.shape}, expected {model.input_shape}")
     fraction = model.config.corruption_fraction
-    params = model.named_parameters()
-    log: list[tuple[int, float, float]] = []
 
-    def sample_loss_and_grads(args):
-        epoch, idx = args
+    def sample(epoch, idx):
         rng = Rng.stream(seed, _CORRUPT_STREAM, epoch, idx)
         corrupted, _ = corrupt(images[idx], fraction, rng)
-        loss, grads = model.loss_and_param_grads(corrupted, images[idx])
-        return loss, grads
+        return model.loss_and_param_grads(corrupted, images[idx])
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for epoch in range(epochs):
-            lr = lr_at_epoch(opt, epoch)
-            order = list(range(len(images)))
-            Rng.stream(seed, _ORDER_STREAM, epoch).shuffle(order)
-            epoch_losses = []
-            for batch in _batches(order, opt.batch_size):
-                work = [(epoch, idx) for idx in batch]
-                results = list(pool.map(sample_loss_and_grads, work)) if pool \
-                    else [sample_loss_and_grads(w) for w in work]
-                epoch_losses.extend(loss for loss, _ in results)
-                sgd_step(params, _mean_grads([g for _, g in results]), lr)
-            log.append((epoch, lr, float(np.mean(epoch_losses))))
-    finally:
-        if pool:
-            pool.shutdown()
-    return model, log
+    rows = train(model.named_parameters(), len(images), sample, opt, epochs, seed, threads)
+    return model, [(epoch, lr, float(np.mean(losses))) for epoch, lr, losses in rows]
 
 
-@dataclass
-class EncoderStack:
-    """The convolution/pooling front half of a trained autoencoder.
-
-    Holds copies of the conv layers, so fine-tuning a classifier built
-    from it never mutates the autoencoder it came from.
-    """
-
-    input_channels: int
-    input_size: tuple[int, int]
-    conv1: Conv2DLayer
-    conv2: Conv2DLayer
-    layer_kinds: tuple[str, ...] = field(default=("conv", "pool", "conv", "pool"))
-
-    def forward(self, x: Tensor):
-        a1, c_conv1 = self.conv1.forward(x)
-        p1, s1 = maxpool2x2_forward(a1)
-        a2, c_conv2 = self.conv2.forward(p1)
-        p2, s2 = maxpool2x2_forward(a2)
-        caches = {"conv1": c_conv1, "s1": s1, "conv2": c_conv2, "s2": s2}
-        return p2, caches
+class EncoderStack(StageStack):
+    """The conv, pool, conv, pool front half of a trained autoencoder."""
 
     @property
     def feature_shape(self) -> tuple[int, int, int]:
-        h, w = self.input_size
-        return (self.conv2.out_channels, h // 4, w // 4)
+        _, h, w = self.input_shape
+        return (self.stages[2].layer.out_channels, h // 4, w // 4)
 
 
 def encoder_extract(model: CAEModel) -> EncoderStack:
-    """Copy out the encoder (input contract, conv, pool, conv, pool)."""
-    return EncoderStack(
-        input_channels=model.config.input_channels,
-        input_size=model.config.input_size,
-        conv1=model.conv1.copy(),
-        conv2=model.conv2.copy(),
-    )
+    """Copy out the first four stages.
+
+    The conv layers are copies, so fine-tuning a classifier built from
+    them never mutates the autoencoder they came from.
+    """
+    return EncoderStack(model.input_shape,
+                        [replace(st, layer=st.layer.copy()) if st.layer else st
+                         for st in model.stages[:4]])

@@ -12,21 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import EncoderStack
+from .autoencoder import EncoderStack, Stage, StageStack, TensorSource, seeded, train
 from .data.rng import Rng
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .layers import (
+    Activation,
     DenseLayer,
     cross_entropy,
-    maxpool2x2_backward,
     softmax,
     softmax_xent_grad,
 )
-from .optim import SGDConfig, lr_at_epoch, sgd_step
+from .optim import SGDConfig
+# not called here (the stage and training loops live in autoencoder.py),
+# but perfbench/child.py patches these two names on this module
+from .layers import maxpool2x2_backward  # noqa: F401
+from .optim import sgd_step  # noqa: F401
 from .tensor import Tensor
 
 _HEAD_INIT_STREAM = 0x1D
-_ORDER_STREAM = 0x0E
 
 
 @dataclass(frozen=True)
@@ -46,75 +49,26 @@ class CNNConfig:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
 
 
-class CNNModel:
-    """Encoder stack, two dense hidden layers, softmax over classes."""
+class CNNModel(StageStack):
+    """Encoder stages, flatten, two dense hidden layers, softmax over classes.
 
-    def __init__(self, config: CNNConfig, encoder: EncoderStack,
-                 fc1: DenseLayer, fc2: DenseLayer, out: DenseLayer):
+    A frozen encoder's stages get no gradients.
+    """
+
+    def __init__(self, config: CNNConfig, input_shape: tuple[int, int, int],
+                 stages: list[Stage]):
+        head = [st.kind for st in stages].index("flatten") + 1
+        super().__init__(input_shape, stages, head if config.freeze_encoder else 0)
         self.config = config
-        self.encoder = encoder
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.out = out
-
-    @property
-    def flat_features(self) -> int:
-        c, h, w = self.encoder.feature_shape
-        return c * h * w
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        params = {}
-        if not self.config.freeze_encoder:
-            params["enc1.W"] = self.encoder.conv1.weights
-            params["enc1.b"] = self.encoder.conv1.bias
-            params["enc2.W"] = self.encoder.conv2.weights
-            params["enc2.b"] = self.encoder.conv2.bias
-        params.update({
-            "fc1.W": self.fc1.weights, "fc1.b": self.fc1.bias,
-            "fc2.W": self.fc2.weights, "fc2.b": self.fc2.bias,
-            "out.W": self.out.weights, "out.b": self.out.bias,
-        })
-        return params
 
     def forward(self, x: Tensor):
         """Class probabilities for one image; returns (probs, caches)."""
-        expected = (self.encoder.input_channels, *self.encoder.input_size)
-        if x.shape != expected:
-            raise ShapeError(f"classifier input must be {expected}, got {x.shape}")
-        feats, enc_caches = self.encoder.forward(x)
-        flat = feats.reshape(-1)
-        h1, c_fc1 = self.fc1.forward(flat)
-        h2, c_fc2 = self.fc2.forward(h1)
-        logits, c_out = self.out.forward(h2)
-        probs = softmax(logits)
-        caches = {"enc": enc_caches, "feat_shape": feats.shape,
-                  "fc1": c_fc1, "fc2": c_fc2, "out": c_out}
-        return probs, caches
+        logits, caches = super().forward(x)
+        return softmax(logits), caches
 
     def backward(self, caches, probs: Tensor, target: int) -> dict[str, Tensor]:
         """Cross-entropy gradients; fuses softmax with the loss."""
-        g_logits = softmax_xent_grad(probs, target)
-        g_h2, g_out = self.out.backward(caches["out"], g_logits)
-        g_h1, g_fc2 = self.fc2.backward(caches["fc2"], g_h2)
-        g_flat, g_fc1 = self.fc1.backward(caches["fc1"], g_h1)
-
-        grads = {
-            "fc1.W": g_fc1["W"], "fc1.b": g_fc1["b"],
-            "fc2.W": g_fc2["W"], "fc2.b": g_fc2["b"],
-            "out.W": g_out["W"], "out.b": g_out["b"],
-        }
-        if not self.config.freeze_encoder:
-            enc = caches["enc"]
-            g_p2 = g_flat.reshape(caches["feat_shape"])
-            g_a2 = maxpool2x2_backward(enc["s2"], g_p2)
-            g_p1, g_conv2 = self.encoder.conv2.backward(enc["conv2"], g_a2)
-            g_a1 = maxpool2x2_backward(enc["s1"], g_p1)
-            _, g_conv1 = self.encoder.conv1.backward(enc["conv1"], g_a1)
-            grads["enc1.W"] = g_conv1["W"]
-            grads["enc1.b"] = g_conv1["b"]
-            grads["enc2.W"] = g_conv2["W"]
-            grads["enc2.b"] = g_conv2["b"]
-        return grads
+        return super().backward(caches, softmax_xent_grad(probs, target))
 
     # protocol used by optim.grad_check
     def loss_value(self, x: Tensor, target: int) -> float:
@@ -127,34 +81,39 @@ class CNNModel:
         return loss, self.backward(caches, probs, target)
 
 
+def dense_stage(name: str, n_in: int, n_out: int, activation: str,
+                tensor: TensorSource) -> Stage:
+    return Stage(name, "dense", DenseLayer(tensor(f"{name}.W", (n_out, n_in)),
+                                           tensor(f"{name}.b", (n_out,)), Activation(activation)))
+
+
+def assemble_cnn(encoder: EncoderStack, config: CNNConfig, tensor: TensorSource) -> CNNModel:
+    """The encoder's stages plus flatten, fc1, fc2 and out, parameters from tensor."""
+    c, h, w = encoder.feature_shape
+    f1, f2 = config.fc_sizes
+    head = [Stage("flatten", "flatten"),
+            dense_stage("fc1", c * h * w, f1, config.fc_activation, tensor),
+            dense_stage("fc2", f1, f2, config.fc_activation, tensor),
+            dense_stage("out", f2, config.n_classes, "identity", tensor)]
+    return CNNModel(config, encoder.input_shape, encoder.stages + head)
+
+
 def build_cnn(encoder: EncoderStack, config: CNNConfig, seed: int) -> CNNModel:
     """Attach a fresh seeded head to a transferred encoder."""
-    c, h, w = encoder.feature_shape
-    flat = c * h * w
-    f1, f2 = config.fc_sizes
-    rng = Rng.stream(seed, _HEAD_INIT_STREAM)
-    fc1 = DenseLayer.create(flat, f1, config.fc_activation, rng)
-    fc2 = DenseLayer.create(f1, f2, config.fc_activation, rng)
-    out = DenseLayer.create(f2, config.n_classes, "identity", rng)
-    return CNNModel(config, encoder, fc1, fc2, out)
-
-
-def cnn_forward(model: CNNModel, x: Tensor) -> Tensor:
-    """Probabilities only, for callers that never backprop."""
-    probs, _ = model.forward(x)
-    return probs
+    return assemble_cnn(encoder, config, seeded(Rng.stream(seed, _HEAD_INIT_STREAM)))
 
 
 def predict(model: CNNModel, x: Tensor) -> int:
     """Argmax class index; ties go to the lowest index."""
-    return int(np.argmax(cnn_forward(model, x)))
+    return int(np.argmax(model.forward(x)[0]))
 
 
 def finetune(model: CNNModel, samples: list[tuple[Tensor, int]], opt: SGDConfig,
              epochs: int, seed: int) -> tuple[CNNModel, list[tuple[int, float, float, float]]]:
-    """Minibatch SGD on cross-entropy.
+    """Minibatch SGD on cross-entropy, on one worker.
 
-    Honors config.freeze_encoder by only stepping head parameters.
+    A second worker would keep one more per-sample fc1 gradient, the
+    largest array in training, in memory.  Honors config.freeze_encoder by only stepping head parameters.
     Returns the model and rows of (epoch, learning_rate, mean_loss,
     train_accuracy).  Deterministic given seed.
     """
@@ -165,30 +124,13 @@ def finetune(model: CNNModel, samples: list[tuple[Tensor, int]], opt: SGDConfig,
         if not 0 <= label < n_classes:
             raise DataError(f"sample {i} has label {label}, outside [0, {n_classes})")
 
-    params = model.named_parameters()
-    log: list[tuple[int, float, float, float]] = []
-    for epoch in range(epochs):
-        lr = lr_at_epoch(opt, epoch)
-        order = list(range(len(samples)))
-        Rng.stream(seed, _ORDER_STREAM, epoch).shuffle(order)
-        losses = []
-        hits = 0
-        for start in range(0, len(order), opt.batch_size):
-            batch = order[start:start + opt.batch_size]
-            batch_grads = None
-            for idx in batch:
-                img, label = samples[idx]
-                probs, caches = model.forward(img)
-                losses.append(cross_entropy(probs, label))
-                hits += int(np.argmax(probs)) == label
-                grads = model.backward(caches, probs, label)
-                if batch_grads is None:
-                    batch_grads = {k: v.copy() for k, v in grads.items()}
-                else:
-                    for k in batch_grads:
-                        batch_grads[k] += grads[k]
-            for k in batch_grads:
-                batch_grads[k] /= len(batch)
-            sgd_step(params, batch_grads, lr)
-        log.append((epoch, lr, float(np.mean(losses)), hits / len(samples)))
-    return model, log
+    def sample(epoch, idx):
+        img, label = samples[idx]
+        probs, caches = model.forward(img)
+        stats = (cross_entropy(probs, label), int(np.argmax(probs)) == label)
+        return stats, model.backward(caches, probs, label)
+
+    rows = train(model.named_parameters(), len(samples), sample, opt, epochs, seed)
+    return model, [(epoch, lr, float(np.mean([loss for loss, _ in stats])),
+                    sum(hit for _, hit in stats) / len(samples))
+                   for epoch, lr, stats in rows]

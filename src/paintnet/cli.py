@@ -221,7 +221,7 @@ def cmd_evaluate(args) -> int:
         raise CheckpointError(f"{ckpt} holds an autoencoder, not a classifier")
     manifest_path = args.manifest or config.labeled_manifest
     manifest = _require_manifest(manifest_path, "labeled_manifest")
-    samples = [(_read_image(config.data_root, e.path, model.encoder.input_size),
+    samples = [(_read_image(config.data_root, e.path, model.input_shape[1:]),
                 e.class_index) for e in manifest.entries]
     cm = evaluate(model, samples)
     print("confusion rows=true cols=predicted")
@@ -253,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run configuration path")
     common.add_argument("--dry-run", action="store_true",
                         help="echo resolved config and shapes, write nothing")
-    common.add_argument("--threads", type=int, help="worker thread cap")
+    common.add_argument("--threads", type=int,
+                        help="worker threads for pretrain's per-sample gradients; "
+                             "the other commands run on one")
     common.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("pretrain", parents=[common],

@@ -15,6 +15,7 @@ per-sample calls may run concurrently on disjoint inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,12 @@ def _sigmoid(z: Tensor) -> Tensor:
 def init_limit(fan_in: int) -> float:
     """Uniform init half-width: sqrt(6 / fan_in)."""
     return float(np.sqrt(6.0 / fan_in))
+
+
+def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
+    """Seeded kernel, uniform in +-sqrt(6/fan_in); fan_in is every axis after the first."""
+    lim = init_limit(math.prod(shape[1:]))
+    return rng.uniform_array(shape, -lim, lim)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +151,7 @@ class Conv2DLayer:
     def create(cls, in_channels: int, out_channels: int, kernel: int,
                activation: str, rng: Rng) -> "Conv2DLayer":
         """Seeded layer: weights uniform in +-sqrt(6/fan_in), bias zero."""
-        lim = init_limit(in_channels * kernel * kernel)
-        w = rng.uniform_array((out_channels, in_channels, kernel, kernel), -lim, lim)
+        w = init_weights((out_channels, in_channels, kernel, kernel), rng)
         return cls(w, np.zeros(out_channels), Activation(activation))
 
     @property
@@ -291,8 +297,7 @@ class Deconv2DLayer:
     @classmethod
     def create_learned(cls, in_channels: int, out_channels: int, kernel: int,
                        activation: str, rng: Rng) -> "Deconv2DLayer":
-        lim = init_limit(in_channels * kernel * kernel)
-        w = rng.uniform_array((out_channels, in_channels, kernel, kernel), -lim, lim)
+        w = init_weights((out_channels, in_channels, kernel, kernel), rng)
         return cls(weights=w, bias=np.zeros(out_channels), activation=Activation(activation))
 
     @property
@@ -367,9 +372,8 @@ class DenseLayer:
 
     @classmethod
     def create(cls, in_size: int, out_size: int, activation: str, rng: Rng) -> "DenseLayer":
-        lim = init_limit(in_size)
-        w = rng.uniform_array((out_size, in_size), -lim, lim)
-        return cls(w, np.zeros(out_size), Activation(activation))
+        return cls(init_weights((out_size, in_size), rng), np.zeros(out_size),
+                   Activation(activation))
 
     @property
     def in_size(self) -> int:

@@ -13,21 +13,30 @@ Layout, all integers little-endian:
         payload product(extents) x f64
 
 Records are written in sorted name order and floats pass through
-unchanged, so identical models always produce identical bytes.  Tied
-decoders store no kernel of their own; the tie is re-established from
-the config on load.
+unchanged, so identical models always produce identical bytes.  The
+records are the model's stage parameters (<stage>.W, <stage>.b), frozen
+ones included.  Tied decoders store no kernel of their own; the tie is
+re-established from the config on load.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import CAEConfig, CAEModel, EncoderStack
-from .classifier import CNNConfig, CNNModel
+from .autoencoder import (
+    CAEConfig,
+    CAEModel,
+    EncoderStack,
+    cae_stages,
+    encoder_stages,
+    stage_parameters,
+)
+from .classifier import CNNConfig, CNNModel, assemble_cnn
 from .errors import (
     ArgumentError,
     CheckpointError,
@@ -36,7 +45,6 @@ from .errors import (
     ConfigError,
     ShapeError,
 )
-from .layers import Activation, Conv2DLayer, Deconv2DLayer, DenseLayer
 from .tensor import Tensor
 
 MAGIC = b"DPNT"
@@ -119,66 +127,22 @@ def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, Tensor]]:
     return kind, config, tensors
 
 
-def _cae_config_dict(config: CAEConfig) -> dict:
-    return {
-        "input_size": list(config.input_size),
-        "conv_channels": list(config.conv_channels),
-        "input_channels": config.input_channels,
-        "kernel": config.kernel,
-        "tied_decoder": config.tied_decoder,
-        "corruption_fraction": config.corruption_fraction,
-        "hidden_activation": config.hidden_activation,
-        "output_activation": config.output_activation,
-    }
-
-
-def _cae_tensors(model: CAEModel) -> dict[str, Tensor]:
-    tensors = {
-        "enc1.W": model.conv1.weights, "enc1.b": model.conv1.bias,
-        "enc2.W": model.conv2.weights, "enc2.b": model.conv2.bias,
-        "dec2.b": model.dec2.bias, "dec1.b": model.dec1.bias,
-    }
-    if not model.config.tied_decoder:
-        tensors["dec2.W"] = model.dec2.weights
-        tensors["dec1.W"] = model.dec1.weights
-    return tensors
-
-
-def _cnn_config_dict(model: CNNModel) -> dict:
-    enc = model.encoder
-    return {
-        "input_size": list(enc.input_size),
-        "input_channels": enc.input_channels,
-        "conv_channels": [enc.conv1.out_channels, enc.conv2.out_channels],
-        "kernel": enc.conv1.kernel,
-        "conv_activation": enc.conv1.activation.kind,
-        "fc_sizes": list(model.config.fc_sizes),
-        "n_classes": model.config.n_classes,
-        "freeze_encoder": model.config.freeze_encoder,
-        "fc_activation": model.config.fc_activation,
-    }
-
-
-def _cnn_tensors(model: CNNModel) -> dict[str, Tensor]:
-    # the full parameter set, ignoring any freeze: a frozen encoder still
-    # has weights that must survive the roundtrip
-    return {
-        "enc1.W": model.encoder.conv1.weights, "enc1.b": model.encoder.conv1.bias,
-        "enc2.W": model.encoder.conv2.weights, "enc2.b": model.encoder.conv2.bias,
-        "fc1.W": model.fc1.weights, "fc1.b": model.fc1.bias,
-        "fc2.W": model.fc2.weights, "fc2.b": model.fc2.bias,
-        "out.W": model.out.weights, "out.b": model.out.bias,
-    }
+def _config_block(model) -> dict:
+    if isinstance(model, CAEModel):
+        return asdict(model.config)
+    enc1 = model.layer("enc1")
+    c, h, w = model.input_shape
+    return {**asdict(model.config), "input_size": [h, w], "input_channels": c,
+            "conv_channels": [enc1.out_channels, model.layer("enc2").out_channels],
+            "kernel": enc1.kernel, "conv_activation": enc1.activation.kind}
 
 
 def save_checkpoint(model, path) -> int:
-    """Write the model to path; returns the byte count."""
-    if isinstance(model, CAEModel):
-        blob = encode_checkpoint(KIND_CAE, _cae_config_dict(model.config), _cae_tensors(model))
-    elif isinstance(model, CNNModel):
-        blob = encode_checkpoint(KIND_CNN, _cnn_config_dict(model), _cnn_tensors(model))
-    else:
+    """Write the model, frozen parameters included, to path; returns the byte count."""
+    if not isinstance(model, (CAEModel, CNNModel)):
         raise ArgumentError(f"cannot checkpoint object of type {type(model).__name__}")
+    kind = KIND_CAE if isinstance(model, CAEModel) else KIND_CNN
+    blob = encode_checkpoint(kind, _config_block(model), stage_parameters(model.stages))
     try:
         Path(path).write_bytes(blob)
     except OSError as exc:
@@ -186,88 +150,45 @@ def save_checkpoint(model, path) -> int:
     return len(blob)
 
 
-def _require(tensors: dict[str, Tensor], name: str) -> Tensor:
-    if name not in tensors:
-        raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
-    return tensors[name]
+def _stored(tensors: dict[str, Tensor]):
+    """Stage-builder tensor source reading checkpoint records."""
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name not in tensors:
+            raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointFormatError(
+                f"tensor {name!r} has shape {tensors[name].shape}, the config needs {shape}")
+        return tensors[name]
+    return tensor
 
 
-def _rebuild_cae(config: dict, tensors: dict[str, Tensor]) -> CAEModel:
-    try:
-        cae_config = CAEConfig(
-            input_size=tuple(config["input_size"]),
-            conv_channels=tuple(config["conv_channels"]),
-            input_channels=config["input_channels"],
-            kernel=config["kernel"],
-            tied_decoder=config["tied_decoder"],
-            corruption_fraction=config["corruption_fraction"],
-            hidden_activation=config["hidden_activation"],
-            output_activation=config["output_activation"],
-        )
-    except (KeyError, TypeError, ConfigError, ArgumentError) as exc:
-        raise CheckpointFormatError(f"bad autoencoder config block: {exc}") from exc
-    try:
-        hidden = Activation(cae_config.hidden_activation)
-        output = Activation(cae_config.output_activation)
-        conv1 = Conv2DLayer(_require(tensors, "enc1.W"), _require(tensors, "enc1.b"), hidden)
-        conv2 = Conv2DLayer(_require(tensors, "enc2.W"), _require(tensors, "enc2.b"), hidden)
-        if cae_config.tied_decoder:
-            dec2 = Deconv2DLayer(tied_to=conv2, bias=_require(tensors, "dec2.b"),
-                                 activation=hidden)
-            dec1 = Deconv2DLayer(tied_to=conv1, bias=_require(tensors, "dec1.b"),
-                                 activation=output)
-        else:
-            dec2 = Deconv2DLayer(weights=_require(tensors, "dec2.W"),
-                                 bias=_require(tensors, "dec2.b"), activation=hidden)
-            dec1 = Deconv2DLayer(weights=_require(tensors, "dec1.W"),
-                                 bias=_require(tensors, "dec1.b"), activation=output)
-    except (ShapeError, ArgumentError) as exc:
-        raise CheckpointFormatError(f"tensor records do not fit the config: {exc}") from exc
-    c1, c2 = cae_config.conv_channels
-    if conv1.weights.shape != (c1, cae_config.input_channels, cae_config.kernel, cae_config.kernel) \
-            or conv2.weights.shape != (c2, c1, cae_config.kernel, cae_config.kernel):
-        raise CheckpointFormatError("conv tensor shapes disagree with the config block")
-    return CAEModel(cae_config, conv1, conv2, dec2, dec1)
+def _dataclass_from(cls, block: dict):
+    return cls(**{f.name: tuple(block[f.name]) if isinstance(block[f.name], list)
+                  else block[f.name] for f in fields(cls)})
 
 
-def _rebuild_cnn(config: dict, tensors: dict[str, Tensor]) -> CNNModel:
-    try:
-        cnn_config = CNNConfig(
-            fc_sizes=tuple(config["fc_sizes"]),
-            n_classes=config["n_classes"],
-            freeze_encoder=config["freeze_encoder"],
-            fc_activation=config["fc_activation"],
-        )
-        conv_act = Activation(config["conv_activation"])
-        input_size = tuple(config["input_size"])
-        input_channels = config["input_channels"]
-    except (KeyError, TypeError, ConfigError, ArgumentError) as exc:
-        raise CheckpointFormatError(f"bad classifier config block: {exc}") from exc
-    try:
-        conv1 = Conv2DLayer(_require(tensors, "enc1.W"), _require(tensors, "enc1.b"), conv_act)
-        conv2 = Conv2DLayer(_require(tensors, "enc2.W"), _require(tensors, "enc2.b"), conv_act)
-        encoder = EncoderStack(input_channels=input_channels, input_size=input_size,
-                               conv1=conv1, conv2=conv2)
-        fc_act = Activation(cnn_config.fc_activation)
-        fc1 = DenseLayer(_require(tensors, "fc1.W"), _require(tensors, "fc1.b"), fc_act)
-        fc2 = DenseLayer(_require(tensors, "fc2.W"), _require(tensors, "fc2.b"), fc_act)
-        out = DenseLayer(_require(tensors, "out.W"), _require(tensors, "out.b"),
-                         Activation("identity"))
-    except (ShapeError, ArgumentError) as exc:
-        raise CheckpointFormatError(f"tensor records do not fit the config: {exc}") from exc
-    model = CNNModel(cnn_config, encoder, fc1, fc2, out)
-    if fc1.in_size != model.flat_features:
-        raise CheckpointFormatError("dense tensor shapes disagree with the encoder geometry")
-    return model
+def _rebuild(kind: int, block: dict, tensor) -> CAEModel | CNNModel:
+    if kind == KIND_CAE:
+        config = _dataclass_from(CAEConfig, block)
+        return CAEModel(config, cae_stages(config, tensor))
+    c = block["input_channels"]
+    encoder = EncoderStack((c, *block["input_size"]), encoder_stages(
+        c, tuple(block["conv_channels"]), block["kernel"], block["conv_activation"], tensor))
+    return assemble_cnn(encoder, _dataclass_from(CNNConfig, block), tensor)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns a CAEModel or CNNModel per its kind tag."""
+    """Read a checkpoint; returns a CAEModel or CNNModel per its kind tag.
+
+    The model is rebuilt by the same stage builders as build_cae and
+    build_cnn, with every parameter read from the file; no init draws.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    kind, config, tensors = decode_checkpoint(data)
-    if kind == KIND_CAE:
-        return _rebuild_cae(config, tensors)
-    return _rebuild_cnn(config, tensors)
+    kind, block, tensors = decode_checkpoint(data)
+    try:
+        return _rebuild(kind, block, _stored(tensors))
+    except (KeyError, TypeError, ValueError, ConfigError, ArgumentError, ShapeError) as exc:
+        raise CheckpointFormatError(f"config block does not describe a model: {exc!r}") from exc

@@ -1,63 +1,20 @@
-"""Dense tensor storage and elementwise arithmetic.
+"""Dense tensor storage and the one distance the engine needs.
 
 A tensor is a C-contiguous float64 numpy array: the shape tuple plus a
 flat row-major buffer of double-precision reals.  Images follow the
 (channels, height, width) axis convention.  Tensors are treated as
 immutable values once built; operations return new arrays, and the only
-sanctioned in-place mutation is the optimizer's parameter update.
+sanctioned in-place mutations are the optimizer's parameter update and
+the training loop's batch gradient sum.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 Tensor = np.ndarray
-
-
-def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """Validate extents and normalize to a tuple. Every extent must be >= 1."""
-    dims = tuple(int(d) for d in shape)
-    if not dims:
-        raise ShapeError("shape needs at least one extent")
-    for d in dims:
-        if d < 1:
-            raise ShapeError(f"shape extents must be >= 1, got {dims}")
-    return dims
-
-
-def tensor_new(shape: Sequence[int], fill: float = 0.0) -> Tensor:
-    """Fresh tensor of the given shape with every element equal to fill."""
-    return np.full(check_shape(shape), float(fill), dtype=np.float64)
-
-
-def as_tensor(values) -> Tensor:
-    """Coerce nested sequences or arrays to a float64 tensor."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr.shape)
-    return arr
-
-
-def tensor_map(t: Tensor, f: Callable[[float], float]) -> Tensor:
-    """Elementwise image of f; shape preserved.
-
-    Raises NumericError if f produces a non-finite value anywhere.
-    """
-    out = np.vectorize(f, otypes=[np.float64])(t) if t.size else t.copy()
-    out = np.asarray(out, dtype=np.float64).reshape(t.shape)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("tensor_map produced a non-finite value")
-    return out
-
-
-def tensor_axpy(a: float, x: Tensor, y: Tensor) -> Tensor:
-    """a*x + y, elementwise. Shapes must match exactly."""
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-    return float(a) * x + y
 
 
 def frobenius_sq_dist(a: Tensor, b: Tensor) -> float:

@@ -17,7 +17,7 @@ import numpy.testing as npt
 
 from paintnet.autoencoder import CAEConfig, build_cae, corrupt, encoder_extract, pretrain
 from paintnet.checks import run_gradcheck
-from paintnet.classifier import CNNConfig, build_cnn, cnn_forward, finetune
+from paintnet.classifier import CNNConfig, build_cnn, finetune
 from paintnet.cli import main
 from paintnet.config import full_profile
 from paintnet.data.image import to_tensor
@@ -342,6 +342,5 @@ def test_13_checkpoint_determinism(tmp_path):
     loaded_cnn = load_checkpoint(tmp_path / "cnn_1.dpnt")
     for i in range(10):
         x = Rng(500 + i).uniform_array((3, 8, 8), 0.0, 1.0)
-        ok = ok and np.array_equal(cnn_forward(loaded_cnn, x),
-                                   cnn_forward(cnn, x))
+        ok = ok and np.array_equal(loaded_cnn.forward(x)[0], cnn.forward(x)[0])
     report("checkpoints byte-stable with bit-identical predictions", ok)

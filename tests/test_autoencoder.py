@@ -74,11 +74,11 @@ def test_forward_matches_reported_chain_sweep():
                 x = Rng(2).uniform_array((2, side, side), 0.0, 1.0)
                 recon, caches = model.forward(x)
                 chain = shape_chain(config)
-                a1 = caches["conv1"][1]
+                a1 = caches["enc1"][1]
                 assert a1.shape == chain[1]
-                assert caches["s1"].pooled_shape == chain[2]
-                assert caches["conv2"][1].shape == chain[3]
-                assert caches["s2"].pooled_shape == chain[4]
+                assert caches["pool1"].pooled_shape == chain[2]
+                assert caches["enc2"][1].shape == chain[3]
+                assert caches["pool2"].pooled_shape == chain[4]
                 assert recon.shape == chain[8] == x.shape
 
 
@@ -88,8 +88,10 @@ def test_forward_matches_reported_chain_sweep():
 
 def test_tied_decoder_holds_no_kernels():
     model = build_cae(small_config(), seed=0)
-    assert model.dec1.mode == "tied" and model.dec2.mode == "tied"
-    assert model.dec1.weights is None and model.dec2.weights is None
+    dec1, dec2 = model.layer("dec1"), model.layer("dec2")
+    assert dec1.mode == "tied" and dec2.mode == "tied"
+    assert dec1.weights is None and dec2.weights is None
+    assert dec1.tied_to is model.layer("enc1") and dec2.tied_to is model.layer("enc2")
     params = model.named_parameters()
     assert "dec1.W" not in params and "dec2.W" not in params
     # encoder kernels + the four biases are the whole parameter set
@@ -98,7 +100,7 @@ def test_tied_decoder_holds_no_kernels():
 
 def test_untied_decoder_owns_kernels():
     model = build_cae(small_config(tied_decoder=False), seed=0)
-    assert model.dec1.mode == "learned" and model.dec2.mode == "learned"
+    assert model.layer("dec1").mode == "learned" and model.layer("dec2").mode == "learned"
     params = model.named_parameters()
     assert "dec1.W" in params and "dec2.W" in params
 
@@ -109,7 +111,7 @@ def test_seeded_build_is_deterministic():
     for k, v in a.named_parameters().items():
         npt.assert_array_equal(v, b.named_parameters()[k])
     c = build_cae(small_config(), seed=12)
-    assert not np.array_equal(a.conv1.weights, c.conv1.weights)
+    assert not np.array_equal(a.layer("enc1").weights, c.layer("enc1").weights)
 
 
 def test_biases_start_at_zero():
@@ -151,24 +153,30 @@ def test_untied_gradients_too():
 # corruption
 # ---------------------------------------------------------------------------
 
+def _distinct(rows, cols) -> set:
+    """The distinct (row, col) pairs of a corruption mask."""
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
 def test_corrupt_zero_fraction():
     img = Rng(50).uniform_array((3, 6, 6), 0.0, 1.0)
-    out, mask = corrupt(img, 0.0, Rng(51))
+    out, (rows, cols) = corrupt(img, 0.0, Rng(51))
     npt.assert_array_equal(out, img)
-    assert len(mask) == 0
+    assert rows.size == cols.size == 0
 
 
 def test_corrupt_full_fraction():
     img = Rng(52).uniform_array((3, 6, 6), 0.1, 1.0)
-    out, mask = corrupt(img, 1.0, Rng(53))
+    out, (rows, cols) = corrupt(img, 1.0, Rng(53))
     npt.assert_array_equal(out, 0.0)
-    assert len(mask) == 36
+    assert rows.size == 36 and len(_distinct(rows, cols)) == 36
 
 
 def test_corrupt_twenty_percent_of_10x10():
     img = Rng(54).uniform_array((3, 10, 10), 0.1, 1.0)
-    out, mask = corrupt(img, 0.2, Rng(55))
-    assert len(mask) == 20
+    out, (rows, cols) = corrupt(img, 0.2, Rng(55))
+    assert rows.dtype.kind == cols.dtype.kind == "i"
+    assert rows.size == 20 and len(_distinct(rows, cols)) == 20
     zeroed = np.all(out == 0.0, axis=0)
     assert zeroed.sum() == 20
 
@@ -177,26 +185,25 @@ def test_corrupt_count_grid():
     img = Rng(56).uniform_array((3, 10, 10), 0.1, 1.0)
     for tenths in range(11):
         f = tenths / 10.0
-        _, mask = corrupt(img, f, Rng(57))
-        assert len(mask) == int(np.floor(f * 100 + 0.5))
+        _, (rows, cols) = corrupt(img, f, Rng(57))
+        expect = int(np.floor(f * 100 + 0.5))
+        assert rows.size == expect and len(_distinct(rows, cols)) == expect
 
 
 def test_corrupt_rounds_half_up():
     img = Rng(58).uniform_array((3, 3, 3), 0.1, 1.0)
-    _, mask = corrupt(img, 0.5, Rng(59))  # 4.5 pixels rounds to 5
-    assert len(mask) == 5
+    _, (rows, cols) = corrupt(img, 0.5, Rng(59))  # 4.5 pixels rounds to 5
+    assert rows.size == 5 and len(_distinct(rows, cols)) == 5
 
 
 def test_corrupt_hits_all_channels_and_preserves_original():
     img = Rng(60).uniform_array((3, 8, 8), 0.1, 1.0)
     before = img.copy()
-    out, mask = corrupt(img, 0.25, Rng(61))
+    out, (rows, cols) = corrupt(img, 0.25, Rng(61))
     npt.assert_array_equal(img, before)
-    for (r, c) in mask.coords:
+    for r, c in zip(rows, cols):
         npt.assert_array_equal(out[:, r, c], 0.0)
     untouched = np.ones((8, 8), dtype=bool)
-    rows = [r for r, _ in mask.coords]
-    cols = [c for _, c in mask.coords]
     untouched[rows, cols] = False
     npt.assert_array_equal(out[:, untouched], img[:, untouched])
 
@@ -206,8 +213,8 @@ def test_corrupt_deterministic_per_seed():
     _, m1 = corrupt(img, 0.2, Rng.stream(7, 3, 1))
     _, m2 = corrupt(img, 0.2, Rng.stream(7, 3, 1))
     _, m3 = corrupt(img, 0.2, Rng.stream(7, 3, 2))
-    assert m1.coords == m2.coords
-    assert m1.coords != m3.coords
+    assert all(np.array_equal(a, b) for a, b in zip(m1, m2))
+    assert _distinct(*m1) != _distinct(*m3)
 
 
 def test_corrupt_bad_fraction():
@@ -314,7 +321,7 @@ def test_pretrain_reduces_loss_on_tiny_task():
 
 def test_extract_structure():
     enc = encoder_extract(build_cae(small_config(), seed=6))
-    assert enc.layer_kinds == ("conv", "pool", "conv", "pool")
+    assert [st.kind for st in enc.stages] == ["conv", "pool", "conv", "pool"]
     assert enc.feature_shape == (3, 2, 2)
 
 
@@ -327,15 +334,15 @@ def test_extract_matches_cae_front_half():
     # the CAE's second pooling output is what the encoder stack should produce
     pooled = np.zeros_like(feats)
     chan = np.arange(pooled.shape[0])[:, None, None]
-    a2 = model.conv2.activation.apply(caches["conv2"][1])
-    npt.assert_array_equal(feats, a2[chan, caches["s2"].rows, caches["s2"].cols])
+    a2 = model.layer("enc2").activation.apply(caches["enc2"][1])
+    npt.assert_array_equal(feats, a2[chan, caches["pool2"].rows, caches["pool2"].cols])
 
 
 def test_extract_copies_weights():
     model = build_cae(small_config(), seed=8)
     enc = encoder_extract(model)
-    enc.conv1.weights[:] = 0.0
-    assert not np.array_equal(model.conv1.weights, enc.conv1.weights)
+    enc.layer("enc1").weights[:] = 0.0
+    assert not np.array_equal(model.layer("enc1").weights, enc.layer("enc1").weights)
 
 
 def test_tied_param_count_is_encoder_plus_decoder_biases():

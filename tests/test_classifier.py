@@ -9,7 +9,6 @@ from paintnet.classifier import (
     CNNConfig,
     CNNModel,
     build_cnn,
-    cnn_forward,
     finetune,
     predict,
 )
@@ -49,18 +48,17 @@ def test_config_rejects_bad_values():
 
 
 def test_flat_features_matches_encoder_output():
-    model = small_cnn()
-    c, h, w = model.encoder.feature_shape
-    assert model.flat_features == c * h * w
+    c, h, w = small_encoder().feature_shape
     # 8x8 input, two 2x2 pools, 3 channels out
-    assert model.flat_features == 3 * 2 * 2
+    assert (c, h, w) == (3, 2, 2)
+    assert small_cnn().layer("fc1").in_size == c * h * w
 
 
 def test_head_shapes():
     model = small_cnn()
-    assert model.fc1.weights.shape == (8, model.flat_features)
-    assert model.fc2.weights.shape == (5, 8)
-    assert model.out.weights.shape == (3, 5)
+    assert model.layer("fc1").weights.shape == (8, 3 * 2 * 2)
+    assert model.layer("fc2").weights.shape == (5, 8)
+    assert model.layer("out").weights.shape == (3, 5)
 
 
 def test_build_deterministic():
@@ -73,8 +71,8 @@ def test_build_deterministic():
 def test_build_seed_changes_head_only():
     a = small_cnn(seed=1)
     b = small_cnn(seed=2)
-    npt.assert_array_equal(a.encoder.conv1.weights, b.encoder.conv1.weights)
-    assert not np.array_equal(a.fc1.weights, b.fc1.weights)
+    npt.assert_array_equal(a.layer("enc1").weights, b.layer("enc1").weights)
+    assert not np.array_equal(a.layer("fc1").weights, b.layer("fc1").weights)
 
 
 def test_named_parameters_frozen_omits_encoder():
@@ -94,7 +92,7 @@ def test_named_parameters_unfrozen_includes_encoder():
 def test_forward_is_a_distribution():
     model = small_cnn()
     x = Rng(3).uniform_array((3, 8, 8), 0.0, 1.0)
-    probs = cnn_forward(model, x)
+    probs, _ = model.forward(x)
     assert probs.shape == (3,)
     assert np.all(probs > 0)
     npt.assert_allclose(probs.sum(), 1.0, rtol=1e-12)
@@ -111,17 +109,17 @@ def test_forward_rejects_wrong_shape():
 def test_predict_returns_argmax():
     model = small_cnn()
     x = Rng(4).uniform_array((3, 8, 8), 0.0, 1.0)
-    probs = cnn_forward(model, x)
+    probs, _ = model.forward(x)
     assert predict(model, x) == int(np.argmax(probs))
 
 
 def test_predict_tie_goes_to_lowest_index():
     model = small_cnn()
     # zeroed output layer makes every logit 0, so probs are uniform
-    model.out.weights[:] = 0.0
-    model.out.bias[:] = 0.0
+    model.layer("out").weights[:] = 0.0
+    model.layer("out").bias[:] = 0.0
     x = Rng(5).uniform_array((3, 8, 8), 0.0, 1.0)
-    probs = cnn_forward(model, x)
+    probs, _ = model.forward(x)
     npt.assert_allclose(probs, 1.0 / 3.0, rtol=1e-12)
     assert predict(model, x) == 0
 
@@ -145,8 +143,8 @@ def test_gradients_frozen():
                       seed=6)
     x = Rng(8).uniform_array((3, 8, 8), 0.0, 1.0)
     assert grad_check(model, x, 1, eps=1e-6) < 1e-5
-    assert not any(k.startswith("enc") for k in model.backward(
-        model.forward(x)[1], cnn_forward(model, x), 1))
+    probs, caches = model.forward(x)
+    assert not any(k.startswith("enc") for k in model.backward(caches, probs, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +203,29 @@ def test_finetune_seed_changes_outcome():
 
 def test_finetune_frozen_keeps_encoder_bits():
     model = small_cnn(freeze=True)
+    enc1, enc2 = model.layer("enc1"), model.layer("enc2")
     before = {
-        "w1": model.encoder.conv1.weights.copy(),
-        "b1": model.encoder.conv1.bias.copy(),
-        "w2": model.encoder.conv2.weights.copy(),
-        "b2": model.encoder.conv2.bias.copy(),
+        "w1": enc1.weights.copy(),
+        "b1": enc1.bias.copy(),
+        "w2": enc2.weights.copy(),
+        "b2": enc2.bias.copy(),
     }
-    head_before = model.fc1.weights.copy()
+    head_before = model.layer("fc1").weights.copy()
     finetune(model, toy_samples(), SGDConfig(lr0=0.05, batch_size=4),
              epochs=2, seed=0)
-    npt.assert_array_equal(model.encoder.conv1.weights, before["w1"])
-    npt.assert_array_equal(model.encoder.conv1.bias, before["b1"])
-    npt.assert_array_equal(model.encoder.conv2.weights, before["w2"])
-    npt.assert_array_equal(model.encoder.conv2.bias, before["b2"])
-    assert not np.array_equal(model.fc1.weights, head_before)
+    npt.assert_array_equal(enc1.weights, before["w1"])
+    npt.assert_array_equal(enc1.bias, before["b1"])
+    npt.assert_array_equal(enc2.weights, before["w2"])
+    npt.assert_array_equal(enc2.bias, before["b2"])
+    assert not np.array_equal(model.layer("fc1").weights, head_before)
 
 
 def test_finetune_unfrozen_moves_encoder():
     model = small_cnn(freeze=False)
-    before = model.encoder.conv1.weights.copy()
+    before = model.layer("enc1").weights.copy()
     finetune(model, toy_samples(), SGDConfig(lr0=0.05, batch_size=4),
              epochs=2, seed=0)
-    assert not np.array_equal(model.encoder.conv1.weights, before)
+    assert not np.array_equal(model.layer("enc1").weights, before)
 
 
 def test_finetune_learns_separable_classes():

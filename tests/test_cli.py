@@ -244,8 +244,8 @@ def test_evaluate_constant_model_reports_full_accuracy(tmp_path):
                               kernel=3), seed=1)
     model = build_cnn(encoder_extract(cae),
                       CNNConfig(fc_sizes=(8, 5), n_classes=3), seed=2)
-    model.out.weights[:] = 0.0
-    model.out.bias[:] = 0.0
+    model.layer("out").weights[:] = 0.0
+    model.layer("out").bias[:] = 0.0
     ckpt = tmp_path / "cnn.dpnt"
     save_checkpoint(model, ckpt)
 

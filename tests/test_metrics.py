@@ -97,8 +97,8 @@ def test_evaluate_perfect_labels():
 def test_evaluate_constant_prediction_single_column():
     model = small_cnn()
     # zero head output forces uniform probs; argmax tie goes to class 0
-    model.out.weights[:] = 0.0
-    model.out.bias[:] = 0.0
+    model.layer("out").weights[:] = 0.0
+    model.layer("out").bias[:] = 0.0
     m = evaluate(model, samples_for(model, 9))
     assert m.counts[:, 0].sum() == 9
     assert m.counts[:, 1:].sum() == 0

@@ -7,8 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
-from paintnet.classifier import CNNConfig, build_cnn, cnn_forward
+from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, stage_parameters
+from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.data.rng import Rng
 from paintnet.errors import (
     CheckpointError,
@@ -69,9 +69,9 @@ def test_records_in_sorted_name_order():
 
 def test_encode_is_deterministic():
     model = small_cae()
-    from paintnet.persist import _cae_config_dict, _cae_tensors
-    a = encode_checkpoint(KIND_CAE, _cae_config_dict(model.config), _cae_tensors(model))
-    b = encode_checkpoint(KIND_CAE, _cae_config_dict(model.config), _cae_tensors(model))
+    from paintnet.persist import _config_block
+    a = encode_checkpoint(KIND_CAE, _config_block(model), stage_parameters(model.stages))
+    b = encode_checkpoint(KIND_CAE, _config_block(model), stage_parameters(model.stages))
     assert a == b
 
 
@@ -178,8 +178,8 @@ def test_untied_roundtrip_keeps_kernels(tmp_path):
     assert "dec1.W" in tensors and "dec2.W" in tensors
     back = load_checkpoint(path)
     assert not back.config.tied_decoder
-    npt.assert_array_equal(back.dec1.weights, model.dec1.weights)
-    npt.assert_array_equal(back.dec2.weights, model.dec2.weights)
+    npt.assert_array_equal(back.layer("dec1").weights, model.layer("dec1").weights)
+    npt.assert_array_equal(back.layer("dec2").weights, model.layer("dec2").weights)
 
 
 def test_loaded_tied_cae_reconstructs_identically(tmp_path):
@@ -209,7 +209,7 @@ def test_frozen_cnn_still_saves_encoder(tmp_path):
     assert {"enc1.W", "enc1.b", "enc2.W", "enc2.b"} <= set(tensors)
     back = load_checkpoint(path)
     assert back.config.freeze_encoder
-    npt.assert_array_equal(back.encoder.conv1.weights, model.encoder.conv1.weights)
+    npt.assert_array_equal(back.layer("enc1").weights, model.layer("enc1").weights)
 
 
 def test_cnn_prediction_battery_bit_identical(tmp_path):
@@ -219,7 +219,7 @@ def test_cnn_prediction_battery_bit_identical(tmp_path):
     back = load_checkpoint(path)
     for i in range(10):
         x = Rng(100 + i).uniform_array((3, 8, 8), 0.0, 1.0)
-        npt.assert_array_equal(cnn_forward(back, x), cnn_forward(model, x))
+        npt.assert_array_equal(back.forward(x)[0], model.forward(x)[0])
 
 
 def test_load_missing_file(tmp_path):
@@ -229,10 +229,10 @@ def test_load_missing_file(tmp_path):
 
 def test_load_rejects_tensor_shape_mismatch(tmp_path):
     model = small_cae()
-    from paintnet.persist import _cae_config_dict, _cae_tensors
-    tensors = _cae_tensors(model)
+    from paintnet.persist import _config_block
+    tensors = stage_parameters(model.stages)
     tensors["enc1.b"] = np.zeros(7)  # wrong extent for 2 channels
-    blob = encode_checkpoint(KIND_CAE, _cae_config_dict(model.config), tensors)
+    blob = encode_checkpoint(KIND_CAE, _config_block(model), tensors)
     path = tmp_path / "bad.dpnt"
     path.write_bytes(blob)
     with pytest.raises(CheckpointFormatError):
@@ -241,11 +241,23 @@ def test_load_rejects_tensor_shape_mismatch(tmp_path):
 
 def test_load_rejects_missing_tensor(tmp_path):
     model = small_cae()
-    from paintnet.persist import _cae_config_dict, _cae_tensors
-    tensors = _cae_tensors(model)
+    from paintnet.persist import _config_block
+    tensors = stage_parameters(model.stages)
     del tensors["enc2.W"]
-    blob = encode_checkpoint(KIND_CAE, _cae_config_dict(model.config), tensors)
+    blob = encode_checkpoint(KIND_CAE, _config_block(model), tensors)
     path = tmp_path / "bad.dpnt"
     path.write_bytes(blob)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_load_rejects_incomplete_config_block(tmp_path):
+    # a missing config field must not fall back to a dataclass default
+    model = small_cae()
+    from paintnet.persist import _config_block
+    block = _config_block(model)
+    del block["kernel"]
+    path = tmp_path / "bad.dpnt"
+    path.write_bytes(encode_checkpoint(KIND_CAE, block, stage_parameters(model.stages)))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)

@@ -1,86 +1,24 @@
-"""Tensor carrier operations: construction, map, axpy, squared distance."""
+"""Tensor carrier operations: squared distance."""
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from paintnet.errors import NumericError, ShapeError
-from paintnet.tensor import (
-    as_tensor,
-    check_shape,
-    frobenius_sq_dist,
-    tensor_axpy,
-    tensor_map,
-    tensor_new,
-)
-
-
-def test_tensor_new_fill():
-    npt.assert_array_equal(tensor_new((2, 2), 0.0), np.zeros((2, 2)))
-    npt.assert_array_equal(tensor_new((1,), 5.5), np.array([5.5]))
-    assert tensor_new((3, 4)).dtype == np.float64
-
-
-def test_tensor_new_rejects_bad_extents():
-    with pytest.raises(ShapeError):
-        tensor_new((0,))
-    with pytest.raises(ShapeError):
-        tensor_new((2, -1))
-    with pytest.raises(ShapeError):
-        check_shape(())
-
-
-def test_as_tensor_coerces_and_validates():
-    t = as_tensor([[1, 2], [3, 4]])
-    assert t.dtype == np.float64
-    assert t.flags["C_CONTIGUOUS"]
-    npt.assert_array_equal(t, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_tensor_map_examples():
-    npt.assert_array_equal(tensor_map(as_tensor([1.0, -2.0]), abs), [1.0, 2.0])
-    npt.assert_array_equal(tensor_map(as_tensor([0.0, 0.0]), lambda v: v), [0.0, 0.0])
-    npt.assert_array_equal(tensor_map(as_tensor([3.0]), lambda v: v * v), [9.0])
-
-
-def test_tensor_map_preserves_shape():
-    t = as_tensor(np.arange(24.0).reshape(2, 3, 4))
-    assert tensor_map(t, lambda v: v + 1).shape == (2, 3, 4)
-
-
-def test_tensor_map_nonfinite_rejected():
-    with pytest.raises(NumericError):
-        tensor_map(as_tensor([1.0, 0.0]), lambda v: v if v else float("inf"))
-
-
-def test_axpy_examples():
-    x, y = as_tensor([1.0, 2.0]), as_tensor([3.0, 4.0])
-    npt.assert_array_equal(tensor_axpy(0.0, x, y), y)
-    npt.assert_array_equal(tensor_axpy(1.0, x, y), [4.0, 6.0])
-
-
-def test_axpy_shape_mismatch():
-    with pytest.raises(ShapeError):
-        tensor_axpy(2.0, as_tensor([1.0]), as_tensor([0.0, 0.0]))
-
-
-def test_axpy_scaling_against_zero_is_exact():
-    x = as_tensor(np.linspace(-2, 2, 12).reshape(3, 4))
-    npt.assert_array_equal(tensor_axpy(2.5, x, tensor_new((3, 4), 0.0)), 2.5 * x)
+from paintnet.errors import ShapeError
+from paintnet.tensor import frobenius_sq_dist
 
 
 def test_frobenius_examples():
-    t = as_tensor([1.0, 2.0, 3.0])
+    t = np.array([1.0, 2.0, 3.0])
     assert frobenius_sq_dist(t, t) == 0.0
-    assert frobenius_sq_dist(as_tensor([1.0, 0.0]), as_tensor([0.0, 1.0])) == 2.0
-    assert frobenius_sq_dist(as_tensor([3.0]), as_tensor([1.0])) == 4.0
+    assert frobenius_sq_dist(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+    assert frobenius_sq_dist(np.array([3.0]), np.array([1.0])) == 4.0
 
 
 def test_frobenius_shape_mismatch():
     with pytest.raises(ShapeError):
-        frobenius_sq_dist(as_tensor([1.0]), as_tensor([1.0, 2.0]))
+        frobenius_sq_dist(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5),
@@ -91,9 +29,3 @@ def test_frobenius_symmetric_nonnegative(a, seed):
     d_ab, d_ba = frobenius_sq_dist(a, b), frobenius_sq_dist(b, a)
     assert d_ab == d_ba
     assert d_ab >= 0.0
-
-
-def test_tensor_map_identity_is_identity():
-    t = as_tensor(np.random.default_rng(3).standard_normal((4, 5)))
-    out = tensor_map(t, lambda v: v)
-    npt.assert_array_equal(out, t)
