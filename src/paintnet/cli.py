@@ -132,13 +132,17 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _encoder_for(config: RunConfig, seed: int):
-    """Pretrained encoder when a checkpoint exists, fresh init otherwise."""
+def _load_cae(config: RunConfig):
+    """The pretrained autoencoder checkpoint, or None when there is none."""
     ckpt = _checkpoint_path(config, CAE_CHECKPOINT)
-    if ckpt.exists():
-        model = load_checkpoint(ckpt)
-        print(f"encoder from {ckpt}")
-        return encoder_extract(model)
+    return load_checkpoint(ckpt) if ckpt.exists() else None
+
+
+def _encoder_for(config: RunConfig, cae, seed: int):
+    """A copy of cae's encoder when it was loaded, a fresh init from seed otherwise."""
+    if cae is not None:
+        print(f"encoder from {_checkpoint_path(config, CAE_CHECKPOINT)}")
+        return encoder_extract(cae)
     print("encoder from random init (no autoencoder checkpoint found)")
     return encoder_extract(build_cae(config.cae_config(), seed))
 
@@ -155,7 +159,7 @@ def cmd_finetune(args) -> int:
                         f"config expects {config.n_classes}")
     samples = _load_samples(manifest, config)
     from .classifier import build_cnn
-    encoder = _encoder_for(config, config.seed)
+    encoder = _encoder_for(config, _load_cae(config), config.seed)
     model = build_cnn(encoder, config.cnn_config(), config.seed)
     model, log = finetune(model, samples, config.sgd_config(),
                           config.epochs_finetune, config.seed)
@@ -185,10 +189,11 @@ def cmd_crossval(args) -> int:
     split = kfold_split(manifest, config.folds, config.seed)
 
     from .classifier import build_cnn
+    cae = _load_cae(config)
     fold_accuracies = []
     for fold in range(split.k):
         fold_seed = Rng.stream(config.seed, 0xCF, fold).next_u64()
-        encoder = _encoder_for(config, fold_seed)
+        encoder = _encoder_for(config, cae, fold_seed)
         model = build_cnn(encoder, config.cnn_config(), fold_seed)
         train = [samples[i] for i in split.train_indices(fold)]
         val = [samples[i] for i in split.folds[fold]]

@@ -5,6 +5,14 @@ constant, with the counter value scrambled through two multiply-xorshift
 rounds per output.  Identical seeds produce identical sequences on every
 platform, which is what makes weight init, corruption masks, and fold
 splits reproducible byte-for-byte.
+
+splitmix64 is counter-based: the i-th output after state s is
+mix(s + i * gamma mod 2**64), independent of the outputs before it
+(Steele, Lea & Flood 2014; Salmon et al. 2011).  uniform_array and
+sample_indices therefore draw whole blocks with numpy uint64 arithmetic.
+A block gives exactly the values, and leaves exactly the state, of the
+same number of next_u64() calls, so seeds and checkpoints from versions
+that drew one value at a time reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ _STREAM_SALT = 0xD1B54A32D192ED03
 # one output consumes 53 bits: uniform() maps next_u64() >> 11 into [0, 1)
 _INV_2_53 = 1.0 / (1 << 53)
 
+# uniform_array fills its output this many draws at a time: the scratch
+# beside the output is one chunk (128 KiB of uint64), not a second copy
+_CHUNK = 1 << 14
+
 
 class Rng:
     """splitmix64 stream with helpers for floats, shuffles, and subsampling."""
@@ -37,6 +49,22 @@ class Rng:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
+
+    def _next_block(self, m: int) -> np.ndarray:
+        """The next m next_u64() outputs as a uint64 array, state advanced past them.
+
+        numpy uint64 arithmetic wraps modulo 2**64, as the masks do above.
+        """
+        z = np.arange(1, m + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + m * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     @classmethod
     def stream(cls, seed: int, *salts: int) -> "Rng":
@@ -59,12 +87,19 @@ class Rng:
         return lo + (hi - lo) * self.uniform()
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
-        """Array filled in row-major order with uniform draws from [lo, hi)."""
-        n = int(np.prod(shape)) if shape else 1
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = self.uniform()
-        return (lo + (hi - lo) * vals).reshape(shape)
+        """Array filled in row-major order with uniform draws from [lo, hi).
+
+        Element i equals the i-th uniform_in(lo, hi) call: the same exact
+        conversion, then the same two IEEE operations.
+        """
+        out = np.empty(shape, dtype=np.float64)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start:start + _CHUNK]
+            np.multiply(self._next_block(chunk.size) >> np.uint64(11), _INV_2_53, out=chunk)
+            chunk *= hi - lo
+            chunk += lo
+        return out
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Plain modulo; bias is irrelevant at our ranges."""
@@ -86,8 +121,9 @@ class Rng:
         """
         if not 0 <= m <= n:
             raise ArgumentError(f"need 0 <= m <= n, got m={m} n={n}")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(m):
-            j = i + self.below(n - i)
+        steps = np.arange(m, dtype=np.uint64)
+        picks = (steps + self._next_block(m) % (np.uint64(n) - steps)).tolist()
+        pool = list(range(n))
+        for i, j in enumerate(picks):
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:m].copy()
+        return np.array(pool[:m], dtype=np.int64)

@@ -357,10 +357,14 @@ class Deconv2DLayer:
 # ---------------------------------------------------------------------------
 
 class DenseLayer:
-    """Fully connected layer: activation(W x + b), W of shape (out, in)."""
+    """Fully connected layer: activation(W x + b), W of shape (out, in).
+
+    A float64 weights array is kept, not copied: the full-scale fc1 is
+    2.6 GB, and a copy would double the peak memory of building it.
+    """
 
     def __init__(self, weights: Tensor, bias: Tensor, activation: Activation):
-        weights = np.array(weights, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
         bias = np.array(bias, dtype=np.float64)
         if weights.ndim != 2:
             raise ShapeError(f"dense weights must be (out, in), got {weights.shape}")

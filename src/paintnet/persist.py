@@ -22,6 +22,7 @@ re-established from the config on load.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -144,10 +145,29 @@ def save_checkpoint(model, path) -> int:
     kind = KIND_CAE if isinstance(model, CAEModel) else KIND_CNN
     blob = encode_checkpoint(kind, _config_block(model), stage_parameters(model.stages))
     try:
-        Path(path).write_bytes(blob)
+        _write_atomic(Path(path), blob)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     return len(blob)
+
+
+def _write_atomic(path: Path, blob: bytes) -> None:
+    """Replace path with blob, or leave it untouched: never a torn file.
+
+    The bytes go to a temporary file beside path, reach the disk, and
+    only then take path's name; a failure at any step removes the
+    temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _stored(tensors: dict[str, Tensor]):

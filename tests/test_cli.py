@@ -10,7 +10,7 @@ import pytest
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
 from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.cli import main
-from paintnet.persist import save_checkpoint
+from paintnet.persist import load_checkpoint, save_checkpoint
 
 from conftest import write_dataset
 
@@ -190,6 +190,22 @@ def test_crossval_writes_report_and_fold_checkpoints(tmp_path):
     assert csv[0] == "fold,accuracy"
     assert len(csv) == 1 + 2 + 2  # header, fold rows, mean, sd_population
     assert csv[-1].startswith("sd_population,")
+
+
+def test_crossval_reads_autoencoder_checkpoint_once(tmp_path, monkeypatch):
+    import paintnet.cli as cli
+    manifest = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=5)
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest),
+                       labeled_manifest=str(manifest), epochs_pretrain=1,
+                       epochs_finetune=1)
+    assert run_cli("pretrain", "--config", str(cfg))[0] == 0
+    loaded = []
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path: loaded.append(path) or load_checkpoint(path))
+    code, out, _ = run_cli("crossval", "--config", str(cfg))
+    assert code == 0
+    assert loaded == [tmp_path / "ckpt" / "cae.dpnt"]
+    assert out.count(f"encoder from {tmp_path / 'ckpt' / 'cae.dpnt'}") == 2
 
 
 def test_crossval_deterministic_reports(tmp_path):

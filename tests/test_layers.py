@@ -406,6 +406,13 @@ def test_dense_relu_clips():
     npt.assert_array_equal(y, [0.0, 2.0])
 
 
+def test_dense_keeps_float64_weights_uncopied():
+    w = np.ones((2, 3))
+    assert DenseLayer(w, np.zeros(2), Activation("identity")).weights is w
+    layer = DenseLayer([[1, 2, 3]], np.zeros(1), Activation("identity"))
+    assert layer.weights.dtype == np.float64 and layer.weights.shape == (1, 3)
+
+
 def test_dense_backward_transpose_oracle():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     layer = DenseLayer(w, np.zeros(2), Activation("identity"))

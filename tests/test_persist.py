@@ -1,6 +1,8 @@
 """Binary checkpoint format: byte layout, roundtrips, error handling."""
 
+import errno
 import json
+import os
 import struct
 
 import numpy as np
@@ -150,6 +152,36 @@ def test_save_twice_identical_bytes(tmp_path):
 def test_save_unwritable_path(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(small_cae(), tmp_path / "no" / "such" / "dir" / "x.dpnt")
+
+
+@pytest.mark.parametrize("failure, raised", [
+    (OSError(errno.ENOSPC, "No space left on device"), CheckpointError),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+])
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, failure, raised):
+    path = tmp_path / "cae.dpnt"
+    save_checkpoint(small_cae(seed=3), path)
+    before = path.read_bytes()
+
+    def torn_fsync(fd):
+        # the new bytes are half on disk when the write dies
+        os.ftruncate(fd, len(before) // 2)
+        raise failure
+
+    monkeypatch.setattr(os, "fsync", torn_fsync)
+    with pytest.raises(raised):
+        save_checkpoint(small_cae(seed=4), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cae.dpnt"]
+
+
+def test_save_replaces_existing_file(tmp_path):
+    path, fresh = tmp_path / "cae.dpnt", tmp_path / "fresh.dpnt"
+    save_checkpoint(small_cae(seed=3), path)
+    save_checkpoint(small_cae(seed=4), path)
+    save_checkpoint(small_cae(seed=4), fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["cae.dpnt", "fresh.dpnt"]
 
 
 def test_cae_roundtrip_bit_exact(tmp_path):

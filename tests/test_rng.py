@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import paintnet.data.rng as rng_module
 from paintnet.data.rng import Rng
 from paintnet.errors import ArgumentError
 
@@ -120,3 +121,65 @@ def test_stream_multiple_salts_order_sensitive():
 
 def test_stream_deterministic():
     assert Rng.stream(42, 7, 9).next_u64() == Rng.stream(42, 7, 9).next_u64()
+
+
+# ---------------------------------------------------------------------------
+# block draws against the one-value-at-a-time reference
+# ---------------------------------------------------------------------------
+
+_seeds = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                   st.integers(min_value=2**64 - 64, max_value=2**64 - 1))
+
+
+def scalar_sample_indices(rng, n, m):
+    """Partial Fisher-Yates from one below() call per pick."""
+    pool = list(range(n))
+    for i in range(m):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (1,), (5, 7), (2, 3, 4)])
+@given(seed=_seeds)
+def test_uniform_array_equals_scalar_draws(shape, seed):
+    block, scalar = Rng(seed), Rng(seed)
+    arr = block.uniform_array(shape, -0.75, 1.25)
+    expected = [scalar.uniform_in(-0.75, 1.25) for _ in range(int(np.prod(shape)))]
+    assert arr.shape == shape and arr.dtype == np.float64
+    assert arr.reshape(-1).tolist() == expected
+    assert block.next_u64() == scalar.next_u64()
+
+
+@given(seed=_seeds, n=st.integers(min_value=0, max_value=40))
+def test_uniform_array_crosses_chunks_like_scalar_draws(seed, n):
+    block, scalar = Rng(seed), Rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_CHUNK", 7)
+        arr = block.uniform_array((n,), 0.0, 1.0)
+    assert arr.tolist() == [scalar.uniform() for _ in range(n)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_uniform_array_wraps_the_counter():
+    # state 2**64 - 1: the first counter wraps to gamma - 1
+    block, scalar = Rng(2**64 - 1), Rng(2**64 - 1)
+    arr = block.uniform_array((3,), -1.0, 1.0)
+    assert arr.tolist() == [scalar.uniform_in(-1.0, 1.0) for _ in range(3)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+@given(seed=_seeds, n=st.integers(min_value=1, max_value=60), data=st.data())
+def test_sample_indices_equals_scalar_fisher_yates(seed, n, data):
+    m = data.draw(st.sampled_from(sorted({0, 1, n // 2, n - 1, n})))
+    block, scalar = Rng(seed), Rng(seed)
+    picks = block.sample_indices(n, m)
+    assert picks.dtype == np.int64
+    assert picks.tolist() == scalar_sample_indices(scalar, n, m)
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_sample_indices_large_range_equals_scalar():
+    block, scalar = Rng(2**64 - 3), Rng(2**64 - 3)
+    assert block.sample_indices(4096, 819).tolist() == scalar_sample_indices(scalar, 4096, 819)
+    assert block.next_u64() == scalar.next_u64()
