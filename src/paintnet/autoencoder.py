@@ -131,11 +131,10 @@ def deconv_stage(name: str, conv: Stage, activation: str, tied: bool,
     """Transposed conv mirroring conv's channel mapping, tied to its kernel or learned."""
     c_out, c_in, k, _ = conv.layer.weights.shape
     if tied:
-        layer = Deconv2DLayer(tied_to=conv.layer, bias=tensor(f"{name}.b", (c_in,)),
-                              activation=Activation(activation))
+        layer = Deconv2DLayer.tied(conv.layer, activation, tensor(f"{name}.b", (c_in,)))
         return Stage(name, "deconv", layer, ref=conv.name)
-    layer = Deconv2DLayer(weights=tensor(f"{name}.W", (c_in, c_out, k, k)),
-                          bias=tensor(f"{name}.b", (c_in,)), activation=Activation(activation))
+    layer = Deconv2DLayer(tensor(f"{name}.W", (c_in, c_out, k, k)),
+                          tensor(f"{name}.b", (c_in,)), Activation(activation))
     return Stage(name, "deconv", layer)
 
 
@@ -168,7 +167,7 @@ def stage_parameters(stages: list[Stage]) -> dict[str, Tensor]:
     params = {}
     for st in stages:
         if st.layer is not None:
-            if st.layer.weights is not None:
+            if st.ref is None:
                 params[f"{st.name}.W"] = st.layer.weights
             params[f"{st.name}.b"] = st.layer.bias
     return params

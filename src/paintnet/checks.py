@@ -4,6 +4,8 @@ Each component builds a small seeded instance, takes a random linear
 functional of its output as the loss, and compares analytic gradients
 against central differences.  The full autoencoder and classifier stacks
 are checked end to end the same way through their own loss functions.
+Every component is a builder returning (loss, arrays, analytic); one
+loop perturbs and checks them all.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .layers import (
     unpool2x2_backward,
     unpool2x2_forward,
 )
-from .optim import finite_difference_max_rel_error, grad_check
+from .optim import finite_difference_max_rel_error
 
 EPS = 1e-6
 THRESHOLD = 1e-5
@@ -53,11 +55,14 @@ def _nudge(analytic: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_conv2d(perturb: bool) -> float:
-    rng = Rng.stream(_SEED, 1)
-    layer = Conv2DLayer.create(2, 3, 5, "relu", rng)
-    x = rng.uniform_array((2, 8, 8), -1.0, 1.0)
-    r = rng.uniform_array((3, 8, 8), -1.0, 1.0)
+def _probe(layer, rng: Rng, x_shape: tuple[int, ...], r_shape: tuple[int, ...]):
+    """<layer(x), r> for x and r drawn from rng, with its W, b and x gradients.
+
+    A tied deconv's W is its encoder's kernel: the array the tie shares
+    is what finite differences must perturb.
+    """
+    x = rng.uniform_array(x_shape, -1.0, 1.0)
+    r = rng.uniform_array(r_shape, -1.0, 1.0)
 
     def loss():
         y, _ = layer.forward(x)
@@ -65,117 +70,56 @@ def _check_conv2d(perturb: bool) -> float:
 
     _, cache = layer.forward(x)
     gx, grads = layer.backward(cache, r)
-    analytic = {"W": grads["W"], "b": grads["b"], "x": gx}
-    if perturb:
-        analytic = _nudge(analytic)
-    arrays = {"W": layer.weights, "b": layer.bias, "x": x}
-    return finite_difference_max_rel_error(loss, arrays, analytic, EPS)
+    if "tied_W" in grads:
+        arrays = {"W": layer.tied_to.weights, "b": layer.bias, "x": x}
+        return loss, arrays, {"W": grads["tied_W"], "b": grads["b"], "x": gx}
+    return loss, {"W": layer.weights, "b": layer.bias, "x": x}, {**grads, "x": gx}
 
 
-def _check_maxpool(perturb: bool) -> float:
+def _conv2d(_):
+    rng = Rng.stream(_SEED, 1)
+    return _probe(Conv2DLayer.create(2, 3, 5, "relu", rng), rng, (2, 8, 8), (3, 8, 8))
+
+
+def _maxpool(_):
     rng = Rng.stream(_SEED, 2)
     x = rng.uniform_array((3, 6, 6), 0.0, 1.0)
     r = rng.uniform_array((3, 3, 3), -1.0, 1.0)
-
-    def loss():
-        y, _ = maxpool2x2_forward(x)
-        return float((y * r).sum())
-
     _, switches = maxpool2x2_forward(x)
-    analytic = {"x": maxpool2x2_backward(switches, r)}
-    if perturb:
-        analytic = _nudge(analytic)
-    return finite_difference_max_rel_error(loss, {"x": x}, analytic, EPS)
+    return (lambda: float((maxpool2x2_forward(x)[0] * r).sum()), {"x": x},
+            {"x": maxpool2x2_backward(switches, r)})
 
 
-def _check_unpool(perturb: bool) -> float:
+def _unpool(_):
     rng = Rng.stream(_SEED, 3)
-    source = rng.uniform_array((2, 6, 6), 0.0, 1.0)
-    _, switches = maxpool2x2_forward(source)
+    _, switches = maxpool2x2_forward(rng.uniform_array((2, 6, 6), 0.0, 1.0))
     x = rng.uniform_array((2, 3, 3), -1.0, 1.0)
     r = rng.uniform_array((2, 6, 6), -1.0, 1.0)
-
-    def loss():
-        return float((unpool2x2_forward(x, switches) * r).sum())
-
-    analytic = {"x": unpool2x2_backward(switches, r)}
-    if perturb:
-        analytic = _nudge(analytic)
-    return finite_difference_max_rel_error(loss, {"x": x}, analytic, EPS)
+    return (lambda: float((unpool2x2_forward(x, switches) * r).sum()), {"x": x},
+            {"x": unpool2x2_backward(switches, r)})
 
 
-def _check_deconv_tied(perturb: bool) -> float:
+def _deconv_tied(_):
     rng = Rng.stream(_SEED, 4)
-    encoder = Conv2DLayer.create(2, 3, 5, "relu", rng)
-    layer = Deconv2DLayer.tied(encoder, "sigmoid")
-    x = rng.uniform_array((3, 6, 6), -1.0, 1.0)
-    r = rng.uniform_array((2, 6, 6), -1.0, 1.0)
-
-    def loss():
-        y, _ = layer.forward(x)
-        return float((y * r).sum())
-
-    _, cache = layer.forward(x)
-    gx, grads = layer.backward(cache, r)
-    analytic = {"W": grads["tied_W"], "b": grads["b"], "x": gx}
-    if perturb:
-        analytic = _nudge(analytic)
-    # W here is the encoder's kernel: the tie means the shared array is
-    # what finite differences must perturb
-    arrays = {"W": encoder.weights, "b": layer.bias, "x": x}
-    return finite_difference_max_rel_error(loss, arrays, analytic, EPS)
+    layer = Deconv2DLayer.tied(Conv2DLayer.create(2, 3, 5, "relu", rng), "sigmoid")
+    return _probe(layer, rng, (3, 6, 6), (2, 6, 6))
 
 
-def _check_deconv_learned(perturb: bool) -> float:
+def _deconv_learned(_):
     rng = Rng.stream(_SEED, 5)
-    layer = Deconv2DLayer.create_learned(3, 2, 5, "sigmoid", rng)
-    x = rng.uniform_array((3, 6, 6), -1.0, 1.0)
-    r = rng.uniform_array((2, 6, 6), -1.0, 1.0)
-
-    def loss():
-        y, _ = layer.forward(x)
-        return float((y * r).sum())
-
-    _, cache = layer.forward(x)
-    gx, grads = layer.backward(cache, r)
-    analytic = {"W": grads["W"], "b": grads["b"], "x": gx}
-    if perturb:
-        analytic = _nudge(analytic)
-    arrays = {"W": layer.weights, "b": layer.bias, "x": x}
-    return finite_difference_max_rel_error(loss, arrays, analytic, EPS)
+    return _probe(Deconv2DLayer.create(3, 2, 5, "sigmoid", rng), rng, (3, 6, 6), (2, 6, 6))
 
 
-def _check_dense(perturb: bool) -> float:
+def _dense(_):
     rng = Rng.stream(_SEED, 6)
-    layer = DenseLayer.create(6, 4, "relu", rng)
-    x = rng.uniform_array((6,), -1.0, 1.0)
-    r = rng.uniform_array((4,), -1.0, 1.0)
-
-    def loss():
-        y, _ = layer.forward(x)
-        return float((y * r).sum())
-
-    _, cache = layer.forward(x)
-    gx, grads = layer.backward(cache, r)
-    analytic = {"W": grads["W"], "b": grads["b"], "x": gx}
-    if perturb:
-        analytic = _nudge(analytic)
-    arrays = {"W": layer.weights, "b": layer.bias, "x": x}
-    return finite_difference_max_rel_error(loss, arrays, analytic, EPS)
+    return _probe(DenseLayer.create(6, 4, "relu", rng), rng, (6,), (4,))
 
 
-def _check_softmax_xent(perturb: bool) -> float:
-    rng = Rng.stream(_SEED, 7)
-    logits = rng.uniform_array((5,), -2.0, 2.0)
+def _softmax_xent(_):
+    logits = Rng.stream(_SEED, 7).uniform_array((5,), -2.0, 2.0)
     target = 2
-
-    def loss():
-        return cross_entropy(softmax(logits), target)
-
-    analytic = {"logits": softmax_xent_grad(softmax(logits), target)}
-    if perturb:
-        analytic = _nudge(analytic)
-    return finite_difference_max_rel_error(loss, {"logits": logits}, analytic, EPS)
+    return (lambda: cross_entropy(softmax(logits), target), {"logits": logits},
+            {"logits": softmax_xent_grad(softmax(logits), target)})
 
 
 # stack-check sizes per scale flag: input side, conv channels, fc sizes
@@ -185,56 +129,46 @@ _SCALES = {
 }
 
 
-def _check_cae_stack(perturb: bool, scale: str = "small") -> float:
-    side, channels, _ = _SCALES[scale]
+def _cae_stack(sizes):
+    side, channels, _ = sizes
     rng = Rng.stream(_SEED, 8)
     config = CAEConfig(input_size=(side, side), conv_channels=channels,
                        corruption_fraction=0.2)
     model = build_cae(config, seed=_SEED)
     x = rng.uniform_array((3, side, side), 0.0, 1.0)
     clean = rng.uniform_array((3, side, side), 0.0, 1.0)
-    if perturb:
-        _, analytic = model.loss_and_param_grads(x, clean)
-        analytic = _nudge(analytic)
-        return finite_difference_max_rel_error(
-            lambda: model.loss_value(x, clean), model.named_parameters(), analytic, EPS)
-    return grad_check(model, x, clean, eps=EPS)
+    _, analytic = model.loss_and_param_grads(x, clean)
+    return lambda: model.loss_value(x, clean), model.named_parameters(), analytic
 
 
-def _check_cnn_stack(perturb: bool, scale: str = "small") -> float:
-    side, channels, fc = _SCALES[scale]
+def _cnn_stack(sizes):
+    side, channels, fc = sizes
     rng = Rng.stream(_SEED, 9)
     cae = build_cae(CAEConfig(input_size=(side, side), conv_channels=channels), seed=_SEED + 1)
-    encoder = encoder_extract(cae)
-    model = build_cnn(encoder, CNNConfig(fc_sizes=fc, n_classes=3), seed=_SEED + 2)
+    model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=fc, n_classes=3), seed=_SEED + 2)
     x = rng.uniform_array((3, side, side), 0.0, 1.0)
     target = 1
-    if perturb:
-        _, analytic = model.loss_and_param_grads(x, target)
-        analytic = _nudge(analytic)
-        return finite_difference_max_rel_error(
-            lambda: model.loss_value(x, target), model.named_parameters(), analytic, EPS)
-    return grad_check(model, x, target, eps=EPS)
+    _, analytic = model.loss_and_param_grads(x, target)
+    return lambda: model.loss_value(x, target), model.named_parameters(), analytic
 
 
-_COMPONENTS = {
-    "conv2d": _check_conv2d,
-    "maxpool2x2": _check_maxpool,
-    "unpool2x2": _check_unpool,
-    "deconv_tied": _check_deconv_tied,
-    "deconv_learned": _check_deconv_learned,
-    "dense": _check_dense,
-    "softmax_xent": _check_softmax_xent,
-}
-
-_STACKS = {
-    "cae_stack": _check_cae_stack,
-    "cnn_stack": _check_cnn_stack,
+# component -> builder(stack sizes) -> (loss, arrays, analytic gradients);
+# only the two stacks read the sizes
+_BUILDERS = {
+    "conv2d": _conv2d,
+    "maxpool2x2": _maxpool,
+    "unpool2x2": _unpool,
+    "deconv_tied": _deconv_tied,
+    "deconv_learned": _deconv_learned,
+    "dense": _dense,
+    "softmax_xent": _softmax_xent,
+    "cae_stack": _cae_stack,
+    "cnn_stack": _cnn_stack,
 }
 
 
 def component_names() -> list[str]:
-    return list(_COMPONENTS) + list(_STACKS)
+    return list(_BUILDERS)
 
 
 def run_gradcheck(perturb_component: str | None = None, scale: str = "small") -> list[CheckRow]:
@@ -246,14 +180,14 @@ def run_gradcheck(perturb_component: str | None = None, scale: str = "small") ->
     """
     if scale not in _SCALES:
         raise ArgumentError(f"unknown scale {scale!r}; choose from {', '.join(_SCALES)}")
-    known = component_names()
-    if perturb_component is not None and perturb_component not in known:
+    if perturb_component is not None and perturb_component not in _BUILDERS:
         raise ArgumentError(f"unknown component {perturb_component!r}; "
-                            f"choose from {', '.join(known)}")
+                            f"choose from {', '.join(_BUILDERS)}")
     rows = []
-    for name, fn in _COMPONENTS.items():
-        rows.append(CheckRow(component=name, max_rel_error=fn(name == perturb_component)))
-    for name, fn in _STACKS.items():
-        rows.append(CheckRow(component=name,
-                             max_rel_error=fn(name == perturb_component, scale)))
+    for name, build in _BUILDERS.items():
+        loss, arrays, analytic = build(_SCALES[scale])
+        if name == perturb_component:
+            analytic = _nudge(analytic)
+        rows.append(CheckRow(component=name, max_rel_error=finite_difference_max_rel_error(
+            loss, arrays, analytic, EPS)))
     return rows

@@ -85,14 +85,10 @@ def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> Tensor:
     return to_tensor(resample_bilinear(decode_ppm(data), size))
 
 
-def _load_images(manifest: DatasetManifest, config: RunConfig) -> list[Tensor]:
-    return [_read_image(config.data_root, e.path, config.input_size)
-            for e in manifest.entries]
-
-
-def _load_samples(manifest: DatasetManifest, config: RunConfig) -> list[tuple[Tensor, int]]:
-    return [(_read_image(config.data_root, e.path, config.input_size), e.class_index)
-            for e in manifest.entries]
+def _load_samples(manifest: DatasetManifest, root: str,
+                  size: tuple[int, int]) -> list[tuple[Tensor, int]]:
+    """Every manifest image, read from root and resampled to size, with its class index."""
+    return [(_read_image(root, e.path, size), e.class_index) for e in manifest.entries]
 
 
 def _write_text(path: Path, text: str):
@@ -111,6 +107,15 @@ def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
     return load_manifest(path_setting)
 
 
+def _labeled_manifest(config: RunConfig) -> DatasetManifest:
+    """The labeled manifest, checked to have the config's class count."""
+    manifest = _require_manifest(config.labeled_manifest, "labeled_manifest")
+    if len(manifest.classes) != config.n_classes:
+        raise DataError(f"manifest has {len(manifest.classes)} classes, "
+                        f"config expects {config.n_classes}")
+    return manifest
+
+
 def cmd_pretrain(args) -> int:
     config = _resolve_config(args)
     _echo_config(config)
@@ -118,7 +123,7 @@ def cmd_pretrain(args) -> int:
     if args.dry_run:
         return EXIT_OK
     manifest = _require_manifest(config.pretrain_manifest, "pretrain_manifest")
-    images = _load_images(manifest, config)
+    images = [x for x, _ in _load_samples(manifest, config.data_root, config.input_size)]
     model = build_cae(config.cae_config(), config.seed)
     model, log = pretrain(model, images, config.sgd_config(), config.epochs_pretrain,
                           config.seed, threads=config.threads)
@@ -153,11 +158,8 @@ def cmd_finetune(args) -> int:
     _echo_shapes(config, head=True)
     if args.dry_run:
         return EXIT_OK
-    manifest = _require_manifest(config.labeled_manifest, "labeled_manifest")
-    if len(manifest.classes) != config.n_classes:
-        raise DataError(f"manifest has {len(manifest.classes)} classes, "
-                        f"config expects {config.n_classes}")
-    samples = _load_samples(manifest, config)
+    manifest = _labeled_manifest(config)
+    samples = _load_samples(manifest, config.data_root, config.input_size)
     from .classifier import build_cnn
     encoder = _encoder_for(config, _load_cae(config), config.seed)
     model = build_cnn(encoder, config.cnn_config(), config.seed)
@@ -181,12 +183,9 @@ def cmd_crossval(args) -> int:
     _echo_shapes(config, head=True)
     if args.dry_run:
         return EXIT_OK
-    manifest = _require_manifest(config.labeled_manifest, "labeled_manifest")
-    if len(manifest.classes) != config.n_classes:
-        raise DataError(f"manifest has {len(manifest.classes)} classes, "
-                        f"config expects {config.n_classes}")
-    samples = _load_samples(manifest, config)
+    manifest = _labeled_manifest(config)
     split = kfold_split(manifest, config.folds, config.seed)
+    samples = _load_samples(manifest, config.data_root, config.input_size)
 
     from .classifier import build_cnn
     cae = _load_cae(config)
@@ -226,8 +225,7 @@ def cmd_evaluate(args) -> int:
         raise CheckpointError(f"{ckpt} holds an autoencoder, not a classifier")
     manifest_path = args.manifest or config.labeled_manifest
     manifest = _require_manifest(manifest_path, "labeled_manifest")
-    samples = [(_read_image(config.data_root, e.path, model.input_shape[1:]),
-                e.class_index) for e in manifest.entries]
+    samples = _load_samples(manifest, config.data_root, model.input_shape[1:])
     cm = evaluate(model, samples)
     print("confusion rows=true cols=predicted")
     for row in cm.counts:

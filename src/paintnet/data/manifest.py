@@ -98,14 +98,17 @@ class FoldSplit:
 def kfold_split(manifest: DatasetManifest, k: int, seed: int) -> FoldSplit:
     """Stratified folds: shuffle each class, deal round-robin into k bins.
 
-    Per-class fold counts therefore differ by at most one.  Deterministic
-    given seed; classes are processed in index order, each with its own
-    derived stream.
+    Per-class fold counts therefore differ by at most one.  Every class
+    deals from fold 0, so k may not exceed the largest class count: every
+    fold is non-empty.  Deterministic given seed; classes are processed
+    in index order, each with its own derived stream.
     """
     if k < 2:
         raise ArgumentError(f"k must be >= 2, got {k}")
-    if k > len(manifest):
-        raise ArgumentError(f"k={k} exceeds manifest size {len(manifest)}")
+    largest = max(manifest.class_counts(), default=0)
+    if k > largest:
+        raise ArgumentError(f"k={k} exceeds the largest class count {largest}, "
+                            f"so fold {largest} and beyond would be empty")
 
     folds: list[list[int]] = [[] for _ in range(k)]
     for class_index in range(len(manifest.classes)):

@@ -89,8 +89,9 @@ def test_forward_matches_reported_chain_sweep():
 def test_tied_decoder_holds_no_kernels():
     model = build_cae(small_config(), seed=0)
     dec1, dec2 = model.layer("dec1"), model.layer("dec2")
-    assert dec1.mode == "tied" and dec2.mode == "tied"
-    assert dec1.weights is None and dec2.weights is None
+    # each decoder kernel is a view of its encoder's, not an array of its own
+    assert np.shares_memory(dec1.weights, model.layer("enc1").weights)
+    assert np.shares_memory(dec2.weights, model.layer("enc2").weights)
     assert dec1.tied_to is model.layer("enc1") and dec2.tied_to is model.layer("enc2")
     params = model.named_parameters()
     assert "dec1.W" not in params and "dec2.W" not in params
@@ -100,7 +101,7 @@ def test_tied_decoder_holds_no_kernels():
 
 def test_untied_decoder_owns_kernels():
     model = build_cae(small_config(tied_decoder=False), seed=0)
-    assert model.layer("dec1").mode == "learned" and model.layer("dec2").mode == "learned"
+    assert model.layer("dec1").tied_to is None and model.layer("dec2").tied_to is None
     params = model.named_parameters()
     assert "dec1.W" in params and "dec2.W" in params
 

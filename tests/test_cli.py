@@ -192,6 +192,18 @@ def test_crossval_writes_report_and_fold_checkpoints(tmp_path):
     assert csv[-1].startswith("sd_population,")
 
 
+def test_crossval_rejects_more_folds_than_largest_class(tmp_path):
+    # 3 classes of 2 images: a fourth fold would be empty
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    (tmp_path / "data" / "alpha" / "000.ppm").unlink()  # the split fails before any read
+    cfg = write_config(tmp_path, labeled_manifest=str(manifest), folds=4)
+    code, out, err = run_cli("crossval", "--config", str(cfg))
+    assert code == 2
+    assert "k=4" in err and "largest class count 2" in err
+    assert "fold 0 accuracy" not in out
+    assert not list((tmp_path / "ckpt").glob("fold_*.dpnt"))
+
+
 def test_crossval_reads_autoencoder_checkpoint_once(tmp_path, monkeypatch):
     import paintnet.cli as cli
     manifest = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=5)
@@ -306,11 +318,13 @@ def test_gradcheck_passes_with_component_rows():
 
 
 def test_gradcheck_perturbation_fails(tmp_path):
-    code, out, _ = run_cli("gradcheck", "--perturb", "conv2d")
+    code, out, _ = run_cli("gradcheck", "--perturb", "deconv_tied")
     assert code == 1
-    assert "gradcheck FAIL" in out
-    assert any(l.startswith("conv2d") and l.endswith("FAIL")
-               for l in out.splitlines())
+    lines = out.splitlines()
+    assert lines[-1] == "gradcheck FAIL"
+    assert len(lines) == 10
+    failing = [l.split()[0] for l in lines[:-1] if l.endswith("FAIL")]
+    assert failing == ["deconv_tied"]
 
 
 def test_gradcheck_unknown_component_exits_2():

@@ -308,15 +308,6 @@ def test_unpool_backward_gathers():
 # deconvolution
 # ---------------------------------------------------------------------------
 
-def test_deconv_needs_exactly_one_kernel_source():
-    enc = Conv2DLayer.create(2, 3, 5, "relu", Rng(0))
-    with pytest.raises(ArgumentError):
-        Deconv2DLayer(tied_to=enc, weights=np.zeros((2, 3, 5, 5)),
-                      bias=np.zeros(2), activation=Activation("relu"))
-    with pytest.raises(ArgumentError):
-        Deconv2DLayer(bias=np.zeros(2), activation=Activation("relu"))
-
-
 def test_deconv_tied_delta_kernel_identity():
     w = np.zeros((2, 2, 5, 5))
     w[0, 0, 2, 2] = 1.0

@@ -134,6 +134,15 @@ def test_kfold_rejects_bad_k():
         kfold_split(m, 9, seed=0)
 
 
+def test_kfold_rejects_k_above_largest_class():
+    # k=4 fits the 6 entries, but each class of 2 fills only folds 0 and 1
+    m = synth_manifest([2, 2, 2])
+    with pytest.raises(ArgumentError, match=r"k=4 .*largest class count 2"):
+        kfold_split(m, 4, seed=0)
+    split = kfold_split(synth_manifest([2, 2, 3]), 3, seed=0)
+    assert all(split.folds)
+
+
 def test_kfold_sample_manifest_is_balanced():
     m = load_manifest(sample_manifest_path())
     split = kfold_split(m, 10, seed=0)

@@ -202,6 +202,18 @@ def test_tied_checkpoint_has_no_decoder_kernels(tmp_path):
                             "dec1.b", "dec2.b"}
 
 
+def test_reloaded_tied_decoder_kernels_view_encoder_kernels(tmp_path):
+    path = tmp_path / "cae.dpnt"
+    save_checkpoint(small_cae(tied=True), path)
+    back = load_checkpoint(path)
+    # a reload saves no decoder kernel either
+    assert sorted(stage_parameters(back.stages)) == ["dec1.b", "dec2.b", "enc1.W", "enc1.b",
+                                                     "enc2.W", "enc2.b"]
+    for dec, enc in (("dec1", "enc1"), ("dec2", "enc2")):
+        assert np.shares_memory(back.layer(dec).weights, back.layer(enc).weights)
+        assert back.layer(dec).tied_to is back.layer(enc)
+
+
 def test_untied_roundtrip_keeps_kernels(tmp_path):
     model = small_cae(tied=False)
     path = tmp_path / "cae.dpnt"
