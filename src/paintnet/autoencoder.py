@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .data.rng import Rng
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .layers import (
     Activation,
     Conv2DLayer,
@@ -54,8 +54,9 @@ class CAEConfig:
 
     def __post_init__(self):
         h, w = self.input_size
-        if h % 4 or w % 4:
-            raise ConfigError(f"input size must be divisible by 4 (two 2x2 pools), got {h}x{w}")
+        if h < 4 or w < 4 or h % 4 or w % 4:
+            raise ConfigError("input size must be at least 4x4 and divisible by 4 "
+                              f"(two 2x2 pools), got {h}x{w}")
         c1, c2 = self.conv_channels
         if c1 < 1 or c2 < 1:
             raise ConfigError(f"conv channels must be >= 1, got {self.conv_channels}")
@@ -177,7 +178,8 @@ class StageStack:
     """Stages run in order by one forward loop and in reverse by one backward loop.
 
     Stages before trained_from are frozen: they get no gradients and
-    the backward loop stops short of them.
+    the backward loop stops short of them.  A trained model defines
+    loss(output, target) -> (value, gradient fed to the backward loop).
     """
 
     def __init__(self, input_shape: tuple[int, int, int], stages: list[Stage],
@@ -231,6 +233,15 @@ class StageStack:
                     grads[name] = grads[name] + grad if name in grads else grad
         return grads
 
+    def loss_value(self, x: Tensor, target) -> float:
+        return self.loss(self.forward(x)[0], target)[0]
+
+    def loss_and_param_grads(self, x: Tensor, target):
+        """(loss, output, gradients of every trained parameter) for one sample."""
+        output, caches = self.forward(x)
+        value, grad_out = self.loss(output, target)
+        return value, output, self.backward(caches, grad_out)
+
 
 class CAEModel(StageStack):
     """Encoder conv/pool pair stack plus its mirrored unpool/deconv decoder."""
@@ -239,16 +250,9 @@ class CAEModel(StageStack):
         super().__init__((config.input_channels, *config.input_size), stages)
         self.config = config
 
-    # protocol used by optim.grad_check
-    def loss_value(self, x: Tensor, clean: Tensor) -> float:
-        recon, _ = self.forward(x)
-        return reconstruction_loss(recon, clean)
-
-    def loss_and_param_grads(self, x: Tensor, clean: Tensor):
-        recon, caches = self.forward(x)
-        loss = reconstruction_loss(recon, clean)
-        grad_recon = 2.0 * (recon - clean) / recon.size
-        return loss, self.backward(caches, grad_recon)
+    def loss(self, recon: Tensor, clean: Tensor) -> tuple[float, Tensor]:
+        """Mean squared reconstruction error and its gradient."""
+        return reconstruction_loss(recon, clean), 2.0 * (recon - clean) / recon.size
 
 
 def build_cae(config: CAEConfig, seed: int) -> CAEModel:
@@ -305,6 +309,7 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
     scheduled learning rate.  Each batch's gradients are summed in
     sample order as they arrive, whatever the thread count, then
     divided by the batch length, so the thread count never changes a bit.
+    A non-finite batch gradient raises NumericError before any step.
     """
     rows = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -314,7 +319,7 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
             order = list(range(count))
             Rng.stream(seed, _ORDER_STREAM, epoch).shuffle(order)
             stats = []
-            for start in range(0, count, opt.batch_size):
+            for batch_index, start in enumerate(range(0, count, opt.batch_size)):
                 batch = order[start:start + opt.batch_size]
                 total = None
                 for info, grads in (pool.map if pool else map)(
@@ -328,6 +333,9 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
                     del grads  # at most one sample's gradients beside the sum
                 for k in total:
                     total[k] /= len(batch)
+                    if not np.isfinite(total[k]).all():
+                        raise NumericError(f"epoch {epoch}, batch {batch_index}: "
+                                           f"gradient of {k} is not finite")
                 sgd_step(params, total, lr)
             rows.append((epoch, lr, stats))
     finally:
@@ -356,7 +364,8 @@ def pretrain(model: CAEModel, images: list[Tensor], opt: SGDConfig, epochs: int,
     def sample(epoch, idx):
         rng = Rng.stream(seed, _CORRUPT_STREAM, epoch, idx)
         corrupted, _ = corrupt(images[idx], fraction, rng)
-        return model.loss_and_param_grads(corrupted, images[idx])
+        loss, _, grads = model.loss_and_param_grads(corrupted, images[idx])
+        return loss, grads
 
     rows = train(model.named_parameters(), len(images), sample, opt, epochs, seed, threads)
     return model, [(epoch, lr, float(np.mean(losses))) for epoch, lr, losses in rows]

@@ -129,6 +129,12 @@ _SCALES = {
 }
 
 
+def _stack(model, x, target):
+    """A whole model's own loss, with its trained parameters' gradients."""
+    _, _, analytic = model.loss_and_param_grads(x, target)
+    return lambda: model.loss_value(x, target), model.named_parameters(), analytic
+
+
 def _cae_stack(sizes):
     side, channels, _ = sizes
     rng = Rng.stream(_SEED, 8)
@@ -136,9 +142,7 @@ def _cae_stack(sizes):
                        corruption_fraction=0.2)
     model = build_cae(config, seed=_SEED)
     x = rng.uniform_array((3, side, side), 0.0, 1.0)
-    clean = rng.uniform_array((3, side, side), 0.0, 1.0)
-    _, analytic = model.loss_and_param_grads(x, clean)
-    return lambda: model.loss_value(x, clean), model.named_parameters(), analytic
+    return _stack(model, x, rng.uniform_array((3, side, side), 0.0, 1.0))
 
 
 def _cnn_stack(sizes):
@@ -146,10 +150,7 @@ def _cnn_stack(sizes):
     rng = Rng.stream(_SEED, 9)
     cae = build_cae(CAEConfig(input_size=(side, side), conv_channels=channels), seed=_SEED + 1)
     model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=fc, n_classes=3), seed=_SEED + 2)
-    x = rng.uniform_array((3, side, side), 0.0, 1.0)
-    target = 1
-    _, analytic = model.loss_and_param_grads(x, target)
-    return lambda: model.loss_value(x, target), model.named_parameters(), analytic
+    return _stack(model, rng.uniform_array((3, side, side), 0.0, 1.0), 1)
 
 
 # component -> builder(stack sizes) -> (loss, arrays, analytic gradients);

@@ -66,19 +66,9 @@ class CNNModel(StageStack):
         logits, caches = super().forward(x)
         return softmax(logits), caches
 
-    def backward(self, caches, probs: Tensor, target: int) -> dict[str, Tensor]:
-        """Cross-entropy gradients; fuses softmax with the loss."""
-        return super().backward(caches, softmax_xent_grad(probs, target))
-
-    # protocol used by optim.grad_check
-    def loss_value(self, x: Tensor, target: int) -> float:
-        probs, _ = self.forward(x)
-        return cross_entropy(probs, target)
-
-    def loss_and_param_grads(self, x: Tensor, target: int):
-        probs, caches = self.forward(x)
-        loss = cross_entropy(probs, target)
-        return loss, self.backward(caches, probs, target)
+    def loss(self, probs: Tensor, target: int) -> tuple[float, Tensor]:
+        """Cross-entropy and its gradient at the logits; fuses softmax with the loss."""
+        return cross_entropy(probs, target), softmax_xent_grad(probs, target)
 
 
 def dense_stage(name: str, n_in: int, n_out: int, activation: str,
@@ -126,9 +116,8 @@ def finetune(model: CNNModel, samples: list[tuple[Tensor, int]], opt: SGDConfig,
 
     def sample(epoch, idx):
         img, label = samples[idx]
-        probs, caches = model.forward(img)
-        stats = (cross_entropy(probs, label), int(np.argmax(probs)) == label)
-        return stats, model.backward(caches, probs, label)
+        loss, probs, grads = model.loss_and_param_grads(img, label)
+        return (loss, int(np.argmax(probs)) == label), grads
 
     rows = train(model.named_parameters(), len(samples), sample, opt, epochs, seed)
     return model, [(epoch, lr, float(np.mean([loss for loss, _ in stats])),

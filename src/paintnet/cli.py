@@ -5,7 +5,7 @@ JSON config drives everything; the resolved config (defaults filled in)
 is echoed as the first line of output so runs are auditable.
 
 Exit codes: 0 success, 1 check failure, 2 config or argument error,
-3 data error, 4 checkpoint error.
+3 data error, 4 checkpoint error, 5 numeric divergence.
 """
 
 from __future__ import annotations
@@ -15,20 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-from .autoencoder import build_cae, encoder_extract, pretrain, shape_chain
+from .autoencoder import CAEModel, build_cae, encoder_extract, pretrain, shape_chain
 from .checks import run_gradcheck
 from .classifier import finetune
-from .config import RunConfig, load_run_config
+from .config import RunConfig, config_from_dict, load_run_config
 from .data.image import decode_ppm, resample_bilinear, to_tensor
 from .data.manifest import DatasetManifest, kfold_split, load_manifest
 from .data.rng import Rng
-from .errors import (
-    ArgumentError,
-    CheckpointError,
-    ConfigError,
-    DataError,
-    EngineError,
-)
+from .errors import CheckpointError, ConfigError, DataError, EngineError, NumericError
 from .metrics import accuracy, crossval_aggregate, evaluate, report_csv
 from .persist import load_checkpoint, save_checkpoint
 from .tensor import Tensor
@@ -36,44 +30,40 @@ from .tensor import Tensor
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_CHECKPOINT = 4
+# an EngineError's exit code: the first class it is an instance of, else EXIT_CONFIG
+EXIT_CODES = ((DataError, 3), (CheckpointError, 4), (NumericError, 5))
 
 CAE_CHECKPOINT = "cae.dpnt"
 CNN_CHECKPOINT = "cnn.dpnt"
+# the autoencoder settings that shape the encoder a classifier takes over
+ENCODER_FIELDS = ("input_size", "input_channels", "conv_channels", "kernel")
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_run_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ArgumentError(f"--threads must be >= 1, got {args.threads}")
-        overrides["threads"] = args.threads
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
-    return config
+    """The --config file (defaults without one) with --seed and --threads applied."""
+    flags = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
+    if args.config:
+        return load_run_config(args.config, flags)
+    return config_from_dict(flags, source="command line")
 
 
 def _chain_text(shapes) -> str:
     return " -> ".join(f"{c}x{h}x{w}" for c, h, w in shapes)
 
 
-def _echo_config(config: RunConfig):
+def _prologue(args) -> RunConfig:
+    """The resolved config, echoed with the command's shape chain."""
+    config = _resolve_config(args)
     print(json.dumps(config.resolved(), sort_keys=True))
-
-
-def _echo_shapes(config: RunConfig, head: bool):
-    chain = shape_chain(config.cae_config())
-    print("shape chain:", _chain_text(chain[:5]))
-    if head:
-        f1, f2 = config.fc_sizes
-        print(f"cnn head: {f1} -> {f2} -> {config.n_classes}")
-    else:
-        print("decoder chain:", _chain_text(chain[4:]))
+    if args.command != "evaluate":
+        chain = shape_chain(config.cae_config())
+        print("shape chain:", _chain_text(chain[:5]))
+        if args.command == "pretrain":
+            print("decoder chain:", _chain_text(chain[4:]))
+        else:
+            f1, f2 = config.fc_sizes
+            print(f"cnn head: {f1} -> {f2} -> {config.n_classes}")
+    return config
 
 
 def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> Tensor:
@@ -101,6 +91,13 @@ def _checkpoint_path(config: RunConfig, name: str) -> Path:
     return Path(config.checkpoint_dir) / name
 
 
+def _save(model, config: RunConfig, name: str) -> str:
+    """Write model into the checkpoint directory; returns the line announcing it."""
+    ckpt = _checkpoint_path(config, name)
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    return f"wrote {ckpt} ({save_checkpoint(model, ckpt)} bytes)"
+
+
 def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
     if path_setting is None:
         raise ConfigError(f"{what} is not set in the config")
@@ -116,59 +113,54 @@ def _labeled_manifest(config: RunConfig) -> DatasetManifest:
     return manifest
 
 
-def cmd_pretrain(args) -> int:
-    config = _resolve_config(args)
-    _echo_config(config)
-    _echo_shapes(config, head=False)
-    if args.dry_run:
-        return EXIT_OK
+def cmd_pretrain(config: RunConfig, args) -> int:
     manifest = _require_manifest(config.pretrain_manifest, "pretrain_manifest")
     images = [x for x, _ in _load_samples(manifest, config.data_root, config.input_size)]
     model = build_cae(config.cae_config(), config.seed)
     model, log = pretrain(model, images, config.sgd_config(), config.epochs_pretrain,
                           config.seed, threads=config.threads)
-    ckpt = _checkpoint_path(config, CAE_CHECKPOINT)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    n_bytes = save_checkpoint(model, ckpt)
-    print(f"wrote {ckpt} ({n_bytes} bytes)")
+    print(_save(model, config, CAE_CHECKPOINT))
     rows = "".join(f"{e},{lr:.12g},{loss:.12g}\n" for e, lr, loss in log)
     _write_text(Path(config.report_dir) / "pretrain_loss.csv",
                 "epoch,lr,mean_loss\n" + rows)
     return EXIT_OK
 
 
-def _load_cae(config: RunConfig):
-    """The pretrained autoencoder checkpoint, or None when there is none."""
+def _load_cae(config: RunConfig) -> CAEModel | None:
+    """The pretrained autoencoder, checked to have the config's encoder; None without one."""
     ckpt = _checkpoint_path(config, CAE_CHECKPOINT)
-    return load_checkpoint(ckpt) if ckpt.exists() else None
+    if not ckpt.exists():
+        return None
+    cae = load_checkpoint(ckpt)
+    if not isinstance(cae, CAEModel):
+        raise CheckpointError(f"{ckpt} holds a classifier, not an autoencoder")
+    want = config.cae_config()
+    for name in ENCODER_FIELDS:
+        have, need = getattr(cae.config, name), getattr(want, name)
+        if have != need:
+            raise CheckpointError(f"{ckpt} has {name} {have}, the config says {need}")
+    return cae
 
 
-def _encoder_for(config: RunConfig, cae, seed: int):
-    """A copy of cae's encoder when it was loaded, a fresh init from seed otherwise."""
-    if cae is not None:
-        print(f"encoder from {_checkpoint_path(config, CAE_CHECKPOINT)}")
-        return encoder_extract(cae)
-    print("encoder from random init (no autoencoder checkpoint found)")
-    return encoder_extract(build_cae(config.cae_config(), seed))
-
-
-def cmd_finetune(args) -> int:
-    config = _resolve_config(args)
-    _echo_config(config)
-    _echo_shapes(config, head=True)
-    if args.dry_run:
-        return EXIT_OK
-    manifest = _labeled_manifest(config)
-    samples = _load_samples(manifest, config.data_root, config.input_size)
+def _fit(config: RunConfig, cae: CAEModel | None, samples, seed: int):
+    """A classifier on cae's encoder (a fresh one from seed without cae), fine-tuned."""
+    # looked up per call: perfbench/child.py wraps classifier.build_cnn after importing cli
     from .classifier import build_cnn
-    encoder = _encoder_for(config, _load_cae(config), config.seed)
-    model = build_cnn(encoder, config.cnn_config(), config.seed)
-    model, log = finetune(model, samples, config.sgd_config(),
-                          config.epochs_finetune, config.seed)
-    ckpt = _checkpoint_path(config, CNN_CHECKPOINT)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    n_bytes = save_checkpoint(model, ckpt)
-    print(f"wrote {ckpt} ({n_bytes} bytes)")
+    if cae is None:
+        print("encoder from random init (no autoencoder checkpoint found)")
+        cae = build_cae(config.cae_config(), seed)
+    else:
+        print(f"encoder from {_checkpoint_path(config, CAE_CHECKPOINT)}")
+    model = build_cnn(encoder_extract(cae), config.cnn_config(), seed)
+    return finetune(model, samples, config.sgd_config(), config.epochs_finetune, seed)
+
+
+def cmd_finetune(config: RunConfig, args) -> int:
+    manifest = _labeled_manifest(config)
+    cae = _load_cae(config)
+    samples = _load_samples(manifest, config.data_root, config.input_size)
+    model, log = _fit(config, cae, samples, config.seed)
+    print(_save(model, config, CNN_CHECKPOINT))
     rows = "".join(f"{e},{lr:.12g},{loss:.12g},{acc:.6f}\n" for e, lr, loss, acc in log)
     _write_text(Path(config.report_dir) / "finetune_loss.csv",
                 "epoch,lr,mean_loss,train_accuracy\n" + rows)
@@ -177,34 +169,20 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(args) -> int:
-    config = _resolve_config(args)
-    _echo_config(config)
-    _echo_shapes(config, head=True)
-    if args.dry_run:
-        return EXIT_OK
+def cmd_crossval(config: RunConfig, args) -> int:
     manifest = _labeled_manifest(config)
     split = kfold_split(manifest, config.folds, config.seed)
-    samples = _load_samples(manifest, config.data_root, config.input_size)
-
-    from .classifier import build_cnn
     cae = _load_cae(config)
+    samples = _load_samples(manifest, config.data_root, config.input_size)
     fold_accuracies = []
     for fold in range(split.k):
         fold_seed = Rng.stream(config.seed, 0xCF, fold).next_u64()
-        encoder = _encoder_for(config, cae, fold_seed)
-        model = build_cnn(encoder, config.cnn_config(), fold_seed)
-        train = [samples[i] for i in split.train_indices(fold)]
-        val = [samples[i] for i in split.folds[fold]]
-        model, _ = finetune(model, train, config.sgd_config(),
-                            config.epochs_finetune, fold_seed)
-        cm = evaluate(model, val)
-        acc = accuracy(cm)
+        model, _ = _fit(config, cae, [samples[i] for i in split.train_indices(fold)], fold_seed)
+        acc = accuracy(evaluate(model, [samples[i] for i in split.folds[fold]]))
         fold_accuracies.append(acc)
         print(f"fold {fold} accuracy {acc:.4f}")
-        ckpt = _checkpoint_path(config, f"fold_{fold:02d}.dpnt")
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(model, ckpt)
+        _save(model, config, f"fold_{fold:02d}.dpnt")
+        del model  # else it lives on through the next fold's fit
 
     report = crossval_aggregate(fold_accuracies)
     print(f"mean {report.mean:.4f} sd {report.sd:.4f}")
@@ -212,16 +190,11 @@ def cmd_crossval(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = _resolve_config(args)
-    _echo_config(config)
-    if args.dry_run:
-        return EXIT_OK
+def cmd_evaluate(config: RunConfig, args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint \
         else _checkpoint_path(config, CNN_CHECKPOINT)
     model = load_checkpoint(ckpt)
-    from .classifier import CNNModel
-    if not isinstance(model, CNNModel):
+    if isinstance(model, CAEModel):
         raise CheckpointError(f"{ckpt} holds an autoencoder, not a classifier")
     manifest_path = args.manifest or config.labeled_manifest
     manifest = _require_manifest(manifest_path, "labeled_manifest")
@@ -285,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="size of the full-stack checks")
     p.add_argument("--perturb", metavar="COMPONENT",
                    help="corrupt one component's analytic gradient (failure-path hook)")
-    p.set_defaults(func=cmd_gradcheck)
     return parser
 
 
@@ -295,19 +267,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ConfigError, ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+        if args.command == "gradcheck":
+            return cmd_gradcheck(args)
+        config = _prologue(args)
+        return EXIT_OK if args.dry_run else args.func(config, args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_CONFIG)
 
 
 def entry():

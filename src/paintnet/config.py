@@ -44,25 +44,19 @@ class RunConfig:
     checkpoint_dir: str = "checkpoints"
     report_dir: str = "reports"
 
+    def _matching(self, cls):
+        """cls from the run fields named like its fields; the rest keep their defaults."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)
+                      if f.name in self.__dataclass_fields__})
+
     def cae_config(self) -> CAEConfig:
-        return CAEConfig(
-            input_size=self.input_size,
-            conv_channels=self.conv_channels,
-            input_channels=self.input_channels,
-            kernel=self.kernel,
-            tied_decoder=self.tied_decoder,
-            corruption_fraction=self.corruption_fraction,
-        )
+        return self._matching(CAEConfig)
 
     def cnn_config(self) -> CNNConfig:
-        return CNNConfig(
-            fc_sizes=self.fc_sizes,
-            n_classes=self.n_classes,
-            freeze_encoder=self.freeze_encoder,
-        )
+        return self._matching(CNNConfig)
 
     def sgd_config(self) -> SGDConfig:
-        return SGDConfig(lr0=self.lr0, decay=self.decay, batch_size=self.batch_size)
+        return self._matching(SGDConfig)
 
     def resolved(self) -> dict:
         """Every field, defaults filled in, as plain JSON-ready values."""
@@ -73,48 +67,34 @@ class RunConfig:
         return out
 
 
-_TUPLE_FIELDS = {"input_size", "conv_channels", "fc_sizes"}
-_INT_FIELDS = {"n_classes", "input_channels", "kernel", "batch_size", "epochs_pretrain",
-               "epochs_finetune", "folds", "seed", "threads"}
-_FLOAT_FIELDS = {"corruption_fraction", "lr0", "decay"}
-_BOOL_FIELDS = {"tied_decoder", "freeze_encoder"}
-_STR_FIELDS = {"data_root", "checkpoint_dir", "report_dir"}
-_OPT_STR_FIELDS = {"pretrain_manifest", "labeled_manifest"}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# RunConfig field annotation -> (what a JSON value must be, its check, its conversion)
+FIELD_TYPES = {
+    "tuple[int, int]": ("a pair of integers", lambda v: isinstance(v, (list, tuple))
+                        and len(v) == 2 and all(map(_is_int, v)), tuple),
+    "int": ("an integer", _is_int, int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
+}
 
 
 def config_from_dict(raw: dict, source: str = "<dict>") -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    unknown = set(raw) - set(annotations)
     if unknown:
         raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
 
     kwargs = {}
     for key, value in raw.items():
-        if key in _TUPLE_FIELDS:
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-                raise ConfigError(f"{source}: {key} must be a pair of integers, got {value!r}")
-            kwargs[key] = tuple(value)
-        elif key in _INT_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
-            kwargs[key] = value
-        elif key in _FLOAT_FIELDS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{source}: {key} must be a number, got {value!r}")
-            kwargs[key] = float(value)
-        elif key in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{source}: {key} must be a boolean, got {value!r}")
-            kwargs[key] = value
-        elif key in _STR_FIELDS:
-            if not isinstance(value, str):
-                raise ConfigError(f"{source}: {key} must be a string, got {value!r}")
-            kwargs[key] = value
-        elif key in _OPT_STR_FIELDS:
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{source}: {key} must be a string or null, got {value!r}")
-            kwargs[key] = value
+        what, accepts, convert = FIELD_TYPES[annotations[key]]
+        if not accepts(value):
+            raise ConfigError(f"{source}: {key} must be {what}, got {value!r}")
+        kwargs[key] = convert(value)
 
     config = RunConfig(**kwargs)
     # surface range violations now, with the file named, not mid-run
@@ -133,7 +113,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> RunConfig:
     return config
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+    """The config file at path, its keys replaced by overrides, checked as one document."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -145,7 +126,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
-    return config_from_dict(raw, source=str(p))
+    return config_from_dict({**raw, **(overrides or {})}, source=str(p))
 
 
 def _profile(name: str) -> RunConfig:

@@ -57,23 +57,24 @@ def finite_difference_max_rel_error(loss_fn: Callable[[], float],
                                     eps: float) -> float:
     """Central-difference check of analytic gradients, one scalar at a time.
 
-    Perturbs each element of each array in place (restoring it), compares
-    (f(t+eps) - f(t-eps)) / (2 eps) against the analytic entry, and
-    returns the worst relative error with denominator max(|a|, |n|, 1e-8).
+    Perturbs each element of each array in place (restoring it), in
+    row-major order, compares (f(t+eps) - f(t-eps)) / (2 eps) against
+    the analytic entry, and returns the worst relative error with
+    denominator max(|a|, |n|, 1e-8).  The arrays are indexed directly,
+    so a non-contiguous view is perturbed where the loss reads it.
     """
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
     worst = 0.0
     for name, arr in arrays.items():
-        flat = arr.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+        ana = analytic[name]
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + eps
             lp = loss_fn()
-            flat[i] = orig - eps
+            arr[i] = orig - eps
             lm = loss_fn()
-            flat[i] = orig
+            arr[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             err = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), REL_ERR_FLOOR)
             worst = max(worst, err)
@@ -84,11 +85,12 @@ def grad_check(model, x: np.ndarray, target, eps: float = 1e-6) -> float:
     """Max relative error between a model's analytic and numeric gradients.
 
     The model must expose named_parameters(), loss_value(x, target), and
-    loss_and_param_grads(x, target); target is the clean image for an
-    autoencoder and the class index for a classifier.
+    loss_and_param_grads(x, target) -> (loss, output, gradients); target
+    is the clean image for an autoencoder and the class index for a
+    classifier.
     """
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
-    _, analytic = model.loss_and_param_grads(x, target)
+    _, _, analytic = model.loss_and_param_grads(x, target)
     return finite_difference_max_rel_error(
         lambda: model.loss_value(x, target), model.named_parameters(), analytic, eps)

@@ -143,8 +143,8 @@ def test_gradients_frozen():
                       seed=6)
     x = Rng(8).uniform_array((3, 8, 8), 0.0, 1.0)
     assert grad_check(model, x, 1, eps=1e-6) < 1e-5
-    probs, caches = model.forward(x)
-    assert not any(k.startswith("enc") for k in model.backward(caches, probs, 1))
+    _, _, grads = model.loss_and_param_grads(x, 1)
+    assert not any(k.startswith("enc") for k in grads)
 
 
 # ---------------------------------------------------------------------------

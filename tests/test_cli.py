@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,46 @@ def test_finetune_class_count_mismatch_exits_3(tmp_path):
     code, _, err = run_cli("finetune", "--config", str(cfg))
     assert code == 3
     assert "classes" in err
+
+
+@pytest.mark.parametrize("command", ["finetune", "crossval"])
+@pytest.mark.parametrize("field,value", [("conv_channels", [4, 5]), ("kernel", 5),
+                                         ("input_size", [32, 32])])
+def test_mismatched_autoencoder_checkpoint_exits_4(tmp_path, command, field, value):
+    manifest = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=5)
+    (tmp_path / "data" / "alpha" / "000.ppm").unlink()  # the check comes before any read
+    (tmp_path / "ckpt").mkdir()
+    save_checkpoint(build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3),
+                              seed=0), tmp_path / "ckpt" / "cae.dpnt")
+    cfg = write_config(tmp_path, labeled_manifest=str(manifest), **{field: value})
+    code, _, err = run_cli(command, "--config", str(cfg))
+    assert code == 4
+    assert f"has {field} " in err
+    assert [p.name for p in (tmp_path / "ckpt").iterdir()] == ["cae.dpnt"]
+
+
+def test_classifier_in_place_of_autoencoder_checkpoint_exits_4(tmp_path):
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3), seed=0)
+    (tmp_path / "ckpt").mkdir()
+    save_checkpoint(build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=1),
+                    tmp_path / "ckpt" / "cae.dpnt")
+    cfg = write_config(tmp_path, labeled_manifest=str(manifest))
+    code, _, err = run_cli("finetune", "--config", str(cfg))
+    assert code == 4
+    assert "not an autoencoder" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_diverged_training_exits_5_and_writes_no_checkpoint(tmp_path, command):
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=1)
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest),
+                       labeled_manifest=str(manifest), lr0=1e300)
+    code, _, err = run_cli(command, "--config", str(cfg))
+    assert code == 5
+    assert re.search(r"epoch \d+, batch \d+: gradient of \w+\.[Wb] is not finite", err)
+    assert not (tmp_path / "ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

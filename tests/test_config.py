@@ -1,10 +1,12 @@
 """Run configuration loading and validation."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from paintnet.config import (
+    FIELD_TYPES,
     RunConfig,
     config_from_dict,
     desk_profile,
@@ -56,20 +58,29 @@ def test_from_dict_rejects_bad_values():
         config_from_dict({"threads": 0})
     with pytest.raises(ConfigError):
         config_from_dict({"epochs_pretrain": -1})
+    for size in ([0, 0], [-4, -8]):
+        with pytest.raises(ConfigError, match="input size"):
+            config_from_dict({"input_size": size})
+
+
+def test_every_field_annotation_has_one_validator():
+    assert {f.type for f in fields(RunConfig)} == set(FIELD_TYPES)
 
 
 def test_sub_configs_consistent():
+    # every value differs from the sub-config's own default
     cfg = config_from_dict({"input_size": [32, 32], "conv_channels": [4, 6],
-                            "corruption_fraction": 0.3, "lr0": 0.2,
-                            "decay": 0.9, "batch_size": 8})
-    cae = cfg.cae_config()
-    assert cae.input_size == (32, 32)
-    assert cae.conv_channels == (4, 6)
-    assert cae.corruption_fraction == 0.3
-    cnn = cfg.cnn_config()
-    assert cnn.fc_sizes == cfg.fc_sizes
-    opt = cfg.sgd_config()
-    assert (opt.lr0, opt.decay, opt.batch_size) == (0.2, 0.9, 8)
+                            "input_channels": 1, "kernel": 3, "tied_decoder": False,
+                            "corruption_fraction": 0.3, "fc_sizes": [12, 7], "n_classes": 4,
+                            "freeze_encoder": True, "lr0": 0.2, "decay": 0.9,
+                            "batch_size": 8})
+    carried = [(cfg.cae_config(), ("input_size", "conv_channels", "input_channels", "kernel",
+                                   "tied_decoder", "corruption_fraction")),
+               (cfg.cnn_config(), ("fc_sizes", "n_classes", "freeze_encoder")),
+               (cfg.sgd_config(), ("lr0", "decay", "batch_size"))]
+    for sub, names in carried:
+        for name in names:
+            assert getattr(sub, name) == getattr(cfg, name), name
 
 
 def test_resolved_round_trips():

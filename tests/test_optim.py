@@ -108,6 +108,15 @@ def test_finite_difference_catches_wrong_gradient():
     assert err > 0.3
 
 
+def test_finite_difference_perturbs_a_non_contiguous_view():
+    x = np.arange(1.0, 7.0).reshape(2, 3).T  # a transposed view, not a copy
+
+    def loss():
+        return float((x ** 2).sum())
+
+    assert finite_difference_max_rel_error(loss, {"x": x}, {"x": 2 * x}, eps=1e-6) < 1e-8
+
+
 def test_finite_difference_bad_eps():
     with pytest.raises(ArgumentError):
         finite_difference_max_rel_error(lambda: 0.0, {}, {}, eps=0.0)
@@ -133,7 +142,7 @@ def test_grad_check_linear_model_near_exact():
         def loss_and_param_grads(self, x, target):
             y, cache = layer.forward(x)
             _, grads = layer.backward(cache, r)
-            return float((y * r).sum()), {"W": grads["W"], "b": grads["b"]}
+            return float((y * r).sum()), y, {"W": grads["W"], "b": grads["b"]}
 
     x = Rng(14).uniform_array((4,), -1.0, 1.0)
     assert grad_check(LinearModel(), x, None, eps=1e-6) < 1e-9
