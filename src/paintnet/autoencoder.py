@@ -27,6 +27,7 @@ from .layers import (
     init_weights,
     maxpool2x2_backward,
     maxpool2x2_forward,
+    transpose_flip,
     unpool2x2_backward,
     unpool2x2_forward,
 )
@@ -101,7 +102,8 @@ class Stage:
 
     kind is conv, pool, deconv, unpool, flatten or dense; conv, deconv
     and dense stages hold their layer.  ref names the pool whose switches
-    an unpool reads, or the conv whose kernel a tied deconv shares.
+    an unpool reads, or the conv whose kernel a tied deconv shares: it is
+    the only record of a tie.
     """
 
     name: str
@@ -215,7 +217,8 @@ class StageStack:
     def backward(self, caches, grad_out: Tensor) -> dict[str, Tensor]:
         """Gradients of every trained parameter for an output gradient.
 
-        A tied deconv's kernel gradient is added onto its conv's.
+        A tied deconv's kernel gradient, mapped by transpose_flip into its
+        conv's layout, is added onto that conv's.
         """
         grads: dict[str, Tensor] = {}
         g = grad_out
@@ -229,7 +232,9 @@ class StageStack:
             else:
                 g, layer_grads = st.layer.backward(caches[st.name], g)
                 for key, grad in layer_grads.items():
-                    name = f"{st.ref}.W" if key == "tied_W" else f"{st.name}.{key}"
+                    name = f"{st.name}.{key}"
+                    if st.ref is not None and key == "W":
+                        name, grad = f"{st.ref}.W", transpose_flip(grad)
                     grads[name] = grads[name] + grad if name in grads else grad
         return grads
 
@@ -309,7 +314,8 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
     scheduled learning rate.  Each batch's gradients are summed in
     sample order as they arrive, whatever the thread count, then
     divided by the batch length, so the thread count never changes a bit.
-    A non-finite batch gradient raises NumericError before any step.
+    A parameter that is not finite after a step raises NumericError,
+    whether a non-finite gradient or the step itself made it so.
     """
     rows = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -333,10 +339,11 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
                     del grads  # at most one sample's gradients beside the sum
                 for k in total:
                     total[k] /= len(batch)
-                    if not np.isfinite(total[k]).all():
-                        raise NumericError(f"epoch {epoch}, batch {batch_index}: "
-                                           f"gradient of {k} is not finite")
                 sgd_step(params, total, lr)
+                for k, p in params.items():
+                    if not np.isfinite(p).all():
+                        raise NumericError(f"epoch {epoch}, batch {batch_index}: "
+                                           f"{k} is not finite after the SGD step")
             rows.append((epoch, lr, stats))
     finally:
         if pool:

@@ -1,7 +1,7 @@
 """Command-line entry point for the whole pipeline.
 
 Subcommands: pretrain, finetune, crossval, evaluate, gradcheck.  One
-JSON config drives everything; the resolved config (defaults filled in)
+JSON config drives everything; the config, with defaults filled in,
 is echoed as the first line of output so runs are auditable.
 
 Exit codes: 0 success, 1 check failure, 2 config or argument error,
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .autoencoder import CAEModel, build_cae, encoder_extract, pretrain, shape_chain
@@ -52,9 +53,9 @@ def _chain_text(shapes) -> str:
 
 
 def _prologue(args) -> RunConfig:
-    """The resolved config, echoed with the command's shape chain."""
+    """The config with defaults filled in, echoed with the command's shape chain."""
     config = _resolve_config(args)
-    print(json.dumps(config.resolved(), sort_keys=True))
+    print(json.dumps(asdict(config), sort_keys=True))
     if args.command != "evaluate":
         chain = shape_chain(config.cae_config())
         print("shape chain:", _chain_text(chain[:5]))
@@ -104,12 +105,12 @@ def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
     return load_manifest(path_setting)
 
 
-def _labeled_manifest(config: RunConfig) -> DatasetManifest:
-    """The labeled manifest, checked to have the config's class count."""
-    manifest = _require_manifest(config.labeled_manifest, "labeled_manifest")
-    if len(manifest.classes) != config.n_classes:
-        raise DataError(f"manifest has {len(manifest.classes)} classes, "
-                        f"config expects {config.n_classes}")
+def _labeled_manifest(path_setting: str | None, n_classes: int) -> DatasetManifest:
+    """The labeled manifest, checked to have n_classes classes before any image is read."""
+    manifest = _require_manifest(path_setting, "labeled_manifest")
+    if len(manifest.classes) != n_classes:
+        raise DataError(f"manifest {path_setting} has {len(manifest.classes)} classes, "
+                        f"expected {n_classes}")
     return manifest
 
 
@@ -156,7 +157,7 @@ def _fit(config: RunConfig, cae: CAEModel | None, samples, seed: int):
 
 
 def cmd_finetune(config: RunConfig, args) -> int:
-    manifest = _labeled_manifest(config)
+    manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
     model, log = _fit(config, cae, samples, config.seed)
@@ -170,7 +171,7 @@ def cmd_finetune(config: RunConfig, args) -> int:
 
 
 def cmd_crossval(config: RunConfig, args) -> int:
-    manifest = _labeled_manifest(config)
+    manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
     split = kfold_split(manifest, config.folds, config.seed)
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
@@ -196,8 +197,8 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     model = load_checkpoint(ckpt)
     if isinstance(model, CAEModel):
         raise CheckpointError(f"{ckpt} holds an autoencoder, not a classifier")
-    manifest_path = args.manifest or config.labeled_manifest
-    manifest = _require_manifest(manifest_path, "labeled_manifest")
+    manifest = _labeled_manifest(args.manifest or config.labeled_manifest,
+                                 model.config.n_classes)
     samples = _load_samples(manifest, config.data_root, model.input_shape[1:])
     cm = evaluate(model, samples)
     print("confusion rows=true cols=predicted")
@@ -208,7 +209,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rows = run_gradcheck(perturb_component=args.perturb, scale=args.scale)
+    rows = run_gradcheck(scale=args.scale)
     for row in rows:
         print(f"{row.component} {row.max_rel_error:.3e} {'PASS' if row.passed else 'FAIL'}")
     if all(r.passed for r in rows):
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration path")
     common.add_argument("--dry-run", action="store_true",
-                        help="echo resolved config and shapes, write nothing")
+                        help="echo the filled-in config and shapes, write nothing")
     common.add_argument("--threads", type=int,
                         help="worker threads for pretrain's per-sample gradients; "
                              "the other commands run on one")
@@ -256,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="finite-difference verification of every gradient path")
     p.add_argument("--scale", choices=["small", "medium"], default="small",
                    help="size of the full-stack checks")
-    p.add_argument("--perturb", metavar="COMPONENT",
-                   help="corrupt one component's analytic gradient (failure-path hook)")
     return parser
 
 

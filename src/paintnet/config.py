@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 from .autoencoder import CAEConfig
@@ -57,14 +56,6 @@ class RunConfig:
 
     def sgd_config(self) -> SGDConfig:
         return self._matching(SGDConfig)
-
-    def resolved(self) -> dict:
-        """Every field, defaults filled in, as plain JSON-ready values."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
 
 def _is_int(value) -> bool:
@@ -127,18 +118,3 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return config_from_dict({**raw, **(overrides or {})}, source=str(p))
-
-
-def _profile(name: str) -> RunConfig:
-    text = (resources.files("paintnet.assets") / f"{name}.json").read_text(encoding="utf-8")
-    return config_from_dict(json.loads(text), source=f"profile:{name}")
-
-
-def desk_profile() -> RunConfig:
-    """Small architecture for fast CPU runs; the package default."""
-    return _profile("desk")
-
-
-def full_profile() -> RunConfig:
-    """Full-scale architecture: 256x256, channels (100, 200), FC (400, 200)."""
-    return _profile("full")

@@ -7,6 +7,7 @@ expected to be converted beforehand.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from ..errors import ArgumentError, ImageFormatError, ImageUnsupportedError, Sha
 from ..tensor import Tensor
 
 _WHITESPACE = b" \t\r\n\v\f"
+# a header token after any run of whitespace and '#' comments, which run to end of line
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*)*([^ \t\r\n\v\f#]*)")
 
 
 @dataclass(frozen=True)
@@ -35,39 +38,12 @@ class ImageRGB:
             raise ShapeError(f"pixels must be 8-bit, got dtype {self.pixels.dtype}")
 
 
-class _HeaderScanner:
-    """Token reader for the PPM text header; treats '#' to end of line as a comment."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_filler(self):
-        while self.pos < len(self.data):
-            b = self.data[self.pos:self.pos + 1]
-            if b in _WHITESPACE:
-                self.pos += 1
-            elif b == b"#":
-                while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] != b"\n":
-                    self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_filler()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] not in _WHITESPACE \
-                and self.data[self.pos:self.pos + 1] != b"#":
-            self.pos += 1
-        if self.pos == start:
-            raise ImageFormatError("truncated header")
-        return self.data[start:self.pos]
-
-    def integer(self, what: str) -> int:
-        tok = self.token()
-        if not tok.isdigit():
-            raise ImageFormatError(f"expected integer for {what}, got {tok!r}")
-        return int(tok)
+def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The next header token from pos, and the position just past it."""
+    token = _HEADER_TOKEN.match(data, pos)
+    if not token[1]:
+        raise ImageFormatError("truncated header")
+    return token[1], token.end()
 
 
 def decode_ppm(data: bytes) -> ImageRGB:
@@ -76,21 +52,24 @@ def decode_ppm(data: bytes) -> ImageRGB:
     Only the P6 variant with maxval 255 is handled.  A different magic or
     short payload is a format error; any other maxval is unsupported.
     """
-    scanner = _HeaderScanner(data)
-    magic = scanner.token()
+    magic, pos = _header_token(data, 0)
     if magic != b"P6":
         raise ImageFormatError(f"not a binary PPM: magic {magic!r}")
-    width = scanner.integer("width")
-    height = scanner.integer("height")
-    maxval = scanner.integer("maxval")
+    numbers = []
+    for what in ("width", "height", "maxval"):
+        token, pos = _header_token(data, pos)
+        if not token.isdigit():
+            raise ImageFormatError(f"expected integer for {what}, got {token!r}")
+        numbers.append(int(token))
+    width, height, maxval = numbers
     if maxval != 255:
         raise ImageUnsupportedError(f"only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise ImageFormatError(f"bad dimensions {width}x{height}")
     # exactly one whitespace byte separates the header from the payload
-    if scanner.pos >= len(data) or data[scanner.pos:scanner.pos + 1] not in _WHITESPACE:
+    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
         raise ImageFormatError("missing separator before pixel payload")
-    start = scanner.pos + 1
+    start = pos + 1
     need = width * height * 3
     payload = data[start:start + need]
     if len(payload) < need:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from ..errors import ArgumentError, ManifestError
@@ -117,8 +116,3 @@ def kfold_split(manifest: DatasetManifest, k: int, seed: int) -> FoldSplit:
         for position, idx in enumerate(members):
             folds[position % k].append(idx)
     return FoldSplit(folds=tuple(tuple(sorted(f)) for f in folds))
-
-
-def sample_manifest_path() -> Path:
-    """Path of the packaged 120-painting sample manifest."""
-    return Path(resources.files("paintnet.assets") / "sample_manifest.csv")

@@ -221,27 +221,18 @@ class Deconv2DLayer(_SameCorrelation):
     A learned one owns its kernel.  A tied one correlates with
     transpose_flip of its encoder's kernel, a view of that array, so the
     encoder's in-place updates reach it with no copy; only its bias is
-    its own.
+    its own.  Its W gradient is in its own layout; transpose_flip maps
+    it onto the encoder's.
     """
 
     kind = "deconv"
-    tied_to: Conv2DLayer | None = None
 
     @classmethod
     def tied(cls, encoder: Conv2DLayer, activation: str, bias: Tensor | None = None):
         """A decoder on encoder's kernel; its bias is zero unless given."""
-        layer = cls(transpose_flip(encoder.weights),
-                    np.zeros(encoder.in_channels) if bias is None else bias,
-                    Activation(activation))
-        layer.tied_to = encoder
-        return layer
-
-    def backward(self, cache, grad_out: Tensor):
-        """A tied layer reports its kernel gradient as "tied_W", in the encoder's layout."""
-        gx, grads = super().backward(cache, grad_out)
-        if self.tied_to is None:
-            return gx, grads
-        return gx, {"tied_W": transpose_flip(grads["W"]), "b": grads["b"]}
+        return cls(transpose_flip(encoder.weights),
+                   np.zeros(encoder.in_channels) if bias is None else bias,
+                   Activation(activation))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Shared helpers: the test-only PPM encoder and synthetic dataset builders."""
+"""Shared helpers: the test-only PPM encoder, synthetic dataset builders,
+the packaged assets and a gradcheck builder with a broken gradient."""
 
 from __future__ import annotations
 
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from paintnet.data.image import ImageRGB
+
+# the packaged profiles and sample manifest
+ASSETS = resources.files("paintnet.assets")
 
 
 def encode_ppm(img: ImageRGB) -> bytes:
@@ -50,6 +55,16 @@ def write_dataset(root: Path, n_per_class: int, side: int, seed: int,
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def broken_builder(build):
+    """A gradcheck builder like build, its first analytic gradient entry (in key order) off by 1e-3."""
+    def nudged(sizes):
+        loss, arrays, analytic = build(sizes)
+        analytic = {k: v.copy() for k, v in analytic.items()}
+        analytic[min(analytic)].reshape(-1)[0] += 1e-3
+        return loss, arrays, analytic
+    return nudged
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ the original labeled corpus, which is not distributable.
 
 import contextlib
 import io
-import json
 import time
 from pathlib import Path
 
@@ -19,9 +18,8 @@ from paintnet.autoencoder import CAEConfig, build_cae, corrupt, encoder_extract,
 from paintnet.checks import run_gradcheck
 from paintnet.classifier import CNNConfig, build_cnn, finetune
 from paintnet.cli import main
-from paintnet.config import full_profile
 from paintnet.data.image import to_tensor
-from paintnet.data.manifest import kfold_split, load_manifest, parse_manifest, sample_manifest_path
+from paintnet.data.manifest import kfold_split, load_manifest, parse_manifest
 from paintnet.data.rng import Rng
 from paintnet.layers import (
     Activation,
@@ -34,7 +32,7 @@ from paintnet.metrics import accuracy, crossval_aggregate, evaluate, report_csv
 from paintnet.optim import SGDConfig, lr_at_epoch
 from paintnet.persist import save_checkpoint, load_checkpoint
 
-from conftest import class_image
+from conftest import ASSETS, class_image
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,9 +238,8 @@ def test_09_overfit_capacity():
            ok, f"epoch {hit}, {elapsed:.1f}s")
 
 
-def test_10_full_scale_shape_chain(tmp_path):
-    cfg = tmp_path / "full.json"
-    cfg.write_text(json.dumps(full_profile().resolved()))
+def test_10_full_scale_shape_chain():
+    cfg = ASSETS / "full.json"
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code_a = main(["pretrain", "--config", str(cfg), "--dry-run"])
@@ -256,7 +253,7 @@ def test_10_full_scale_shape_chain(tmp_path):
 
 
 def test_11_crossval_protocol():
-    manifest = load_manifest(sample_manifest_path())
+    manifest = load_manifest(ASSETS / "sample_manifest.csv")
     split = kfold_split(manifest, 10, seed=0)
     ok = len(manifest) == 120 and split.k == 10
     for fold in split.folds:

@@ -92,7 +92,8 @@ def test_tied_decoder_holds_no_kernels():
     # each decoder kernel is a view of its encoder's, not an array of its own
     assert np.shares_memory(dec1.weights, model.layer("enc1").weights)
     assert np.shares_memory(dec2.weights, model.layer("enc2").weights)
-    assert dec1.tied_to is model.layer("enc1") and dec2.tied_to is model.layer("enc2")
+    assert [(st.name, st.ref) for st in model.stages if st.kind == "deconv"] == \
+        [("dec2", "enc2"), ("dec1", "enc1")]
     params = model.named_parameters()
     assert "dec1.W" not in params and "dec2.W" not in params
     # encoder kernels + the four biases are the whole parameter set
@@ -101,7 +102,7 @@ def test_tied_decoder_holds_no_kernels():
 
 def test_untied_decoder_owns_kernels():
     model = build_cae(small_config(tied_decoder=False), seed=0)
-    assert model.layer("dec1").tied_to is None and model.layer("dec2").tied_to is None
+    assert [st.ref for st in model.stages if st.kind == "deconv"] == [None, None]
     params = model.named_parameters()
     assert "dec1.W" in params and "dec2.W" in params
 
@@ -139,6 +140,16 @@ def test_end_to_end_gradients():
     x = Rng(41).uniform_array((3, 8, 8), 0.0, 1.0)
     clean = Rng(42).uniform_array((3, 8, 8), 0.0, 1.0)
     assert grad_check(model, x, clean, eps=1e-6) < 1e-5
+
+
+def test_tied_gradients_land_on_encoder_kernels():
+    model = build_cae(small_config(), seed=3)
+    x = Rng(30).uniform_array((3, 8, 8), 0.0, 1.0)
+    _, _, grads = model.loss_and_param_grads(x, x)
+    assert sorted(grads) == sorted(model.named_parameters())
+    assert "dec1.W" not in grads and "dec2.W" not in grads
+    for enc in ("enc1", "enc2"):
+        assert grads[f"{enc}.W"].shape == model.layer(enc).weights.shape
 
 
 def test_untied_gradients_too():

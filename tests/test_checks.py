@@ -2,8 +2,11 @@
 
 import pytest
 
-from paintnet.checks import THRESHOLD, CheckRow, component_names, run_gradcheck
+from paintnet import checks
+from paintnet.checks import THRESHOLD, CheckRow, run_gradcheck
 from paintnet.errors import ArgumentError
+
+from conftest import broken_builder
 
 EXPECTED_NAMES = [
     "conv2d", "maxpool2x2", "unpool2x2", "deconv_tied", "deconv_learned",
@@ -12,7 +15,7 @@ EXPECTED_NAMES = [
 
 
 def test_component_roster():
-    assert component_names() == EXPECTED_NAMES
+    assert list(checks._BUILDERS) == EXPECTED_NAMES
 
 
 def test_all_components_pass():
@@ -36,15 +39,11 @@ def test_medium_scale_stacks_pass():
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
-def test_perturbation_trips_exactly_one(name):
-    rows = run_gradcheck(perturb_component=name)
+def test_perturbation_trips_exactly_one(name, monkeypatch):
+    monkeypatch.setitem(checks._BUILDERS, name, broken_builder(checks._BUILDERS[name]))
+    rows = run_gradcheck()
     failing = [r.component for r in rows if not r.passed]
     assert failing == [name]
-
-
-def test_unknown_component_rejected():
-    with pytest.raises(ArgumentError):
-        run_gradcheck(perturb_component="tanh")
 
 
 def test_unknown_scale_rejected():

@@ -13,7 +13,7 @@ from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.cli import main
 from paintnet.persist import load_checkpoint, save_checkpoint
 
-from conftest import write_dataset
+from conftest import ASSETS, broken_builder, write_dataset
 
 
 def run_cli(*argv):
@@ -90,10 +90,8 @@ def test_seed_override_reaches_resolved_config(tmp_path):
     assert json.loads(out.splitlines()[0])["seed"] == 42
 
 
-def test_full_scale_shape_chain(tmp_path):
-    from paintnet.config import full_profile
-    cfg = tmp_path / "full.json"
-    cfg.write_text(json.dumps(full_profile().resolved()))
+def test_full_scale_shape_chain():
+    cfg = ASSETS / "full.json"
     code, out, _ = run_cli("pretrain", "--config", str(cfg), "--dry-run")
     assert code == 0
     assert ("shape chain: 3x256x256 -> 100x256x256 -> 100x128x128 "
@@ -209,7 +207,20 @@ def test_diverged_training_exits_5_and_writes_no_checkpoint(tmp_path, command):
                        labeled_manifest=str(manifest), lr0=1e300)
     code, _, err = run_cli(command, "--config", str(cfg))
     assert code == 5
-    assert re.search(r"epoch \d+, batch \d+: gradient of \w+\.[Wb] is not finite", err)
+    assert re.search(r"epoch \d+, batch \d+: \w+\.[Wb] is not finite after the SGD step", err)
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_last_step_exits_5_and_writes_no_checkpoint(tmp_path):
+    # one batch, one epoch: the gradient is finite, lr * gradient overflows the weights,
+    # and no later batch is left to see them
+    manifest = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=1)
+    cfg = write_config(tmp_path, labeled_manifest=str(manifest), lr0=1.7e308,
+                       batch_size=12, epochs_finetune=1)
+    code, _, err = run_cli("finetune", "--config", str(cfg))
+    assert code == 5
+    assert re.search(r"epoch 0, batch 0: \w+\.[Wb] is not finite after the SGD step", err)
     assert not (tmp_path / "ckpt").exists()
 
 
@@ -307,8 +318,8 @@ def test_evaluate_rejects_autoencoder_checkpoint(tmp_path):
     assert "autoencoder" in err
 
 
-def test_evaluate_constant_model_reports_full_accuracy(tmp_path):
-    # a zeroed head always predicts class 0; label everything class 0
+def test_evaluate_constant_model_puts_every_image_in_class_0(tmp_path):
+    # a zeroed head always predicts class 0, so only class 0's images are hits
     cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3),
                               kernel=3), seed=1)
     model = build_cnn(encoder_extract(cae),
@@ -318,14 +329,29 @@ def test_evaluate_constant_model_reports_full_accuracy(tmp_path):
     ckpt = tmp_path / "cnn.dpnt"
     save_checkpoint(model, ckpt)
 
-    manifest = write_dataset(tmp_path / "data", n_per_class=3, side=16, seed=7,
-                             labels=("only",))
+    manifest = write_dataset(tmp_path / "data", n_per_class=3, side=16, seed=7)
     cfg = write_config(tmp_path)
     code, out, _ = run_cli("evaluate", "--config", str(cfg),
                            "--checkpoint", str(ckpt),
                            "--manifest", str(manifest))
     assert code == 0
-    assert "accuracy 1.0000" in out
+    assert "confusion rows=true cols=predicted\n3 0 0\n3 0 0\n3 0 0\n" in out
+    assert "accuracy 0.3333" in out
+
+
+@pytest.mark.parametrize("labels", [("a", "b", "c", "d"), ("b", "c")])
+def test_evaluate_rejects_manifest_with_other_class_count(tmp_path, labels):
+    cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3), seed=1)
+    ckpt = tmp_path / "cnn.dpnt"
+    save_checkpoint(build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5), n_classes=3),
+                              seed=2), ckpt)
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=7, labels=labels)
+    (tmp_path / "data" / "b" / "000.ppm").unlink()  # the check comes before any read
+    code, out, err = run_cli("evaluate", "--config", str(write_config(tmp_path)),
+                             "--checkpoint", str(ckpt), "--manifest", str(manifest))
+    assert code == 3
+    assert f"has {len(labels)} classes, expected 3" in err
+    assert "accuracy" not in out
 
 
 def test_evaluate_output_is_internally_consistent(tmp_path):
@@ -358,20 +384,17 @@ def test_gradcheck_passes_with_component_rows():
         assert line.endswith("PASS")
 
 
-def test_gradcheck_perturbation_fails(tmp_path):
-    code, out, _ = run_cli("gradcheck", "--perturb", "deconv_tied")
+def test_gradcheck_perturbation_fails(monkeypatch):
+    from paintnet import checks
+    monkeypatch.setitem(checks._BUILDERS, "deconv_tied",
+                        broken_builder(checks._BUILDERS["deconv_tied"]))
+    code, out, _ = run_cli("gradcheck")
     assert code == 1
     lines = out.splitlines()
     assert lines[-1] == "gradcheck FAIL"
     assert len(lines) == 10
     failing = [l.split()[0] for l in lines[:-1] if l.endswith("FAIL")]
     assert failing == ["deconv_tied"]
-
-
-def test_gradcheck_unknown_component_exits_2():
-    code, _, err = run_cli("gradcheck", "--perturb", "tanh")
-    assert code == 2
-    assert "tanh" in err
 
 
 def test_unknown_subcommand_exits_2():

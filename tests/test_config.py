@@ -1,7 +1,7 @@
 """Run configuration loading and validation."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -9,11 +9,11 @@ from paintnet.config import (
     FIELD_TYPES,
     RunConfig,
     config_from_dict,
-    desk_profile,
     load_run_config,
-    full_profile,
 )
 from paintnet.errors import ConfigError
+
+from conftest import ASSETS
 
 
 def test_defaults_are_desk_scale():
@@ -85,7 +85,7 @@ def test_sub_configs_consistent():
 
 def test_resolved_round_trips():
     cfg = config_from_dict({"seed": 5, "threads": 2})
-    again = config_from_dict(cfg.resolved())
+    again = config_from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 
@@ -118,13 +118,13 @@ def test_load_rejects_non_object(tmp_path):
 
 
 def test_desk_profile_loads():
-    cfg = desk_profile()
+    cfg = load_run_config(ASSETS / "desk.json")
     assert cfg.input_size == (64, 64)
     assert cfg.conv_channels == (8, 16)
 
 
 def test_full_profile_loads():
-    cfg = full_profile()
+    cfg = load_run_config(ASSETS / "full.json")
     assert cfg.input_size == (256, 256)
     assert cfg.conv_channels == (100, 200)
     assert cfg.fc_sizes == (400, 200)

@@ -92,6 +92,48 @@ def test_decode_tolerates_header_comments():
     npt.assert_array_equal(img.pixels.reshape(-1), [1, 2, 3, 4, 5, 6])
 
 
+def test_decode_comment_glued_to_token():
+    img = decode_ppm(b"P6 2#c\n1 255\n" + bytes([1, 2, 3, 4, 5, 6]))
+    assert (img.width, img.height) == (2, 1)
+    npt.assert_array_equal(img.pixels.reshape(-1), [1, 2, 3, 4, 5, 6])
+
+
+_SEPARATORS = [b" ", b"\t", b"\r", b"\n", b"\v", b"\f"]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=["space", "tab", "cr", "lf", "vt", "ff"])
+def test_decode_every_whitespace_byte_separates(sep):
+    img = decode_ppm(sep.join([b"P6", b"1", b"2", b"255"]) + sep + bytes(range(6)))
+    assert (img.width, img.height) == (1, 2)
+    npt.assert_array_equal(img.pixels.reshape(-1), list(range(6)))
+
+
+def test_decode_rejects_magic_glued_to_width():
+    with pytest.raises(ImageFormatError, match="not a binary PPM"):
+        decode_ppm(b"P62 1 255\n" + bytes(6))
+
+
+def test_decode_rejects_final_comment_without_newline():
+    with pytest.raises(ImageFormatError, match="truncated header"):
+        decode_ppm(b"P6 2 1 # no newline")
+
+
+_comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+_filler_piece = st.one_of(st.sampled_from(_SEPARATORS), _comment)
+_filler = st.lists(_filler_piece, min_size=1, max_size=4).map(b"".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_filler_piece, max_size=3).map(b"".join), _filler, _filler, _filler,
+       st.sampled_from(_SEPARATORS))
+def test_decode_header_filler_does_not_change_pixels(lead, gap1, gap2, gap3, last):
+    payload = bytes(range(10, 22))
+    plain = decode_ppm(b"P6 2 2 255\n" + payload)
+    img = decode_ppm(lead + b"P6" + gap1 + b"2" + gap2 + b"2" + gap3 + b"255" + last + payload)
+    assert (img.width, img.height) == (plain.width, plain.height)
+    npt.assert_array_equal(img.pixels, plain.pixels)
+
+
 def test_decode_payload_starts_after_single_separator():
     # payload bytes that look like whitespace must survive
     data = b"P6 1 2 255\n" + bytes([10, 32, 13, 9, 10, 32])

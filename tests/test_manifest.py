@@ -10,10 +10,11 @@ from paintnet.data.manifest import (
     kfold_split,
     load_manifest,
     parse_manifest,
-    sample_manifest_path,
 )
 from paintnet.data.rng import Rng
 from paintnet.errors import ArgumentError, ManifestError
+
+from conftest import ASSETS
 
 
 def synth_manifest(counts) -> DatasetManifest:
@@ -107,14 +108,14 @@ def test_load_reads_utf8(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_sample_manifest_shape():
-    m = load_manifest(sample_manifest_path())
+    m = load_manifest(ASSETS / "sample_manifest.csv")
     assert len(m) == 120
     assert m.classes == ("vangogh", "rembrandt", "renoir")
     assert m.class_counts() == [40, 40, 40]
 
 
 def test_sample_manifest_paths_unique_and_relative():
-    m = load_manifest(sample_manifest_path())
+    m = load_manifest(ASSETS / "sample_manifest.csv")
     paths = [e.path for e in m.entries]
     assert len(set(paths)) == 120
     for p in paths:
@@ -144,7 +145,7 @@ def test_kfold_rejects_k_above_largest_class():
 
 
 def test_kfold_sample_manifest_is_balanced():
-    m = load_manifest(sample_manifest_path())
+    m = load_manifest(ASSETS / "sample_manifest.csv")
     split = kfold_split(m, 10, seed=0)
     assert split.k == 10
     for fold in split.folds:
