@@ -13,15 +13,14 @@ reconstruction error against the clean original.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .data.rng import Rng
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import CheckpointFormatError, ConfigError, DataError, NumericError, ShapeError
 from .layers import (
-    Activation,
     Conv2DLayer,
     Deconv2DLayer,
     init_weights,
@@ -112,7 +111,8 @@ class Stage:
     ref: str | None = None
 
 
-# tensor(name, shape) -> array: where a stage builder gets its parameters
+# tensor(name, shape) -> array: where a stage builder gets its parameters;
+# seeded and stored are the two sources
 TensorSource = Callable[[str, tuple[int, ...]], Tensor]
 
 
@@ -123,10 +123,22 @@ def seeded(rng: Rng) -> TensorSource:
     return tensor
 
 
+def stored(tensors: dict[str, Tensor]) -> TensorSource:
+    """Parameters read by name from tensors: a checkpoint's records, or a model's own."""
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name not in tensors:
+            raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointFormatError(
+                f"tensor {name!r} has shape {tensors[name].shape}, the config needs {shape}")
+        return tensors[name]
+    return tensor
+
+
 def conv_stage(name: str, c_in: int, c_out: int, k: int, activation: str,
                tensor: TensorSource) -> Stage:
     return Stage(name, "conv", Conv2DLayer(tensor(f"{name}.W", (c_out, c_in, k, k)),
-                                           tensor(f"{name}.b", (c_out,)), Activation(activation)))
+                                           tensor(f"{name}.b", (c_out,)), activation))
 
 
 def deconv_stage(name: str, conv: Stage, activation: str, tied: bool,
@@ -137,7 +149,7 @@ def deconv_stage(name: str, conv: Stage, activation: str, tied: bool,
         layer = Deconv2DLayer.tied(conv.layer, activation, tensor(f"{name}.b", (c_in,)))
         return Stage(name, "deconv", layer, ref=conv.name)
     layer = Deconv2DLayer(tensor(f"{name}.W", (c_in, c_out, k, k)),
-                          tensor(f"{name}.b", (c_in,)), Activation(activation))
+                          tensor(f"{name}.b", (c_in,)), activation)
     return Stage(name, "deconv", layer)
 
 
@@ -305,8 +317,8 @@ def reconstruction_loss(reconstruction: Tensor, clean_original: Tensor) -> float
 # training
 # ---------------------------------------------------------------------------
 
-def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs: int,
-          seed: int, threads: int = 1) -> list[tuple[int, float, list]]:
+def train(phase: str, params: dict[str, Tensor], count: int, sample, opt: SGDConfig,
+          epochs: int, seed: int, threads: int = 1) -> list[tuple[int, float, list]]:
     """Minibatch SGD over count samples; returns (epoch, lr, per-sample stats) rows.
 
     sample(epoch, index) -> (stats, gradients).  Every epoch shuffles
@@ -314,8 +326,9 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
     scheduled learning rate.  Each batch's gradients are summed in
     sample order as they arrive, whatever the thread count, then
     divided by the batch length, so the thread count never changes a bit.
-    A parameter that is not finite after a step raises NumericError,
-    whether a non-finite gradient or the step itself made it so.
+    A parameter that is not finite after a step raises NumericError
+    naming phase, whether a non-finite gradient or the step itself made
+    it so; that check, not a numpy warning, reports the step's overflow.
     """
     rows = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -339,11 +352,12 @@ def train(params: dict[str, Tensor], count: int, sample, opt: SGDConfig, epochs:
                     del grads  # at most one sample's gradients beside the sum
                 for k in total:
                     total[k] /= len(batch)
-                sgd_step(params, total, lr)
-                for k, p in params.items():
-                    if not np.isfinite(p).all():
-                        raise NumericError(f"epoch {epoch}, batch {batch_index}: "
-                                           f"{k} is not finite after the SGD step")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sgd_step(params, total, lr)
+                    for k, p in params.items():
+                        if not np.isfinite(p).all():
+                            raise NumericError(f"{phase} epoch {epoch}, batch {batch_index}: "
+                                               f"{k} is not finite after the SGD step")
             rows.append((epoch, lr, stats))
     finally:
         if pool:
@@ -374,7 +388,8 @@ def pretrain(model: CAEModel, images: list[Tensor], opt: SGDConfig, epochs: int,
         loss, _, grads = model.loss_and_param_grads(corrupted, images[idx])
         return loss, grads
 
-    rows = train(model.named_parameters(), len(images), sample, opt, epochs, seed, threads)
+    rows = train("pretrain", model.named_parameters(), len(images), sample, opt, epochs, seed,
+                 threads)
     return model, [(epoch, lr, float(np.mean(losses))) for epoch, lr, losses in rows]
 
 
@@ -388,11 +403,12 @@ class EncoderStack(StageStack):
 
 
 def encoder_extract(model: CAEModel) -> EncoderStack:
-    """Copy out the first four stages.
+    """The first four stages, rebuilt on copies of the autoencoder's encoder parameters.
 
-    The conv layers are copies, so fine-tuning a classifier built from
-    them never mutates the autoencoder they came from.
+    Fine-tuning a classifier built from them never mutates the
+    autoencoder they came from.
     """
-    return EncoderStack(model.input_shape,
-                        [replace(st, layer=st.layer.copy()) if st.layer else st
-                         for st in model.stages[:4]])
+    c = model.config
+    params = {k: p.copy() for k, p in stage_parameters(model.stages[:4]).items()}
+    return EncoderStack(model.input_shape, encoder_stages(
+        c.input_channels, c.conv_channels, c.kernel, c.hidden_activation, stored(params)))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autoencoder import CAEConfig, build_cae, encoder_extract
 from .classifier import CNNConfig, build_cnn
 from .data.rng import Rng
@@ -21,6 +23,7 @@ from .layers import (
     Deconv2DLayer,
     DenseLayer,
     cross_entropy,
+    init_weights,
     maxpool2x2_backward,
     maxpool2x2_forward,
     softmax,
@@ -65,7 +68,8 @@ def _probe(layer, rng: Rng, x_shape: tuple[int, ...], r_shape: tuple[int, ...]):
 
 def _conv2d(_):
     rng = Rng.stream(_SEED, 1)
-    return _probe(Conv2DLayer.create(2, 3, 5, "relu", rng), rng, (2, 8, 8), (3, 8, 8))
+    layer = Conv2DLayer(init_weights((3, 2, 5, 5), rng), np.zeros(3), "relu")
+    return _probe(layer, rng, (2, 8, 8), (3, 8, 8))
 
 
 def _maxpool(_):
@@ -88,18 +92,20 @@ def _unpool(_):
 
 def _deconv_tied(_):
     rng = Rng.stream(_SEED, 4)
-    layer = Deconv2DLayer.tied(Conv2DLayer.create(2, 3, 5, "relu", rng), "sigmoid")
+    encoder = Conv2DLayer(init_weights((3, 2, 5, 5), rng), np.zeros(3), "relu")
+    layer = Deconv2DLayer.tied(encoder, "sigmoid")
     return _probe(layer, rng, (3, 6, 6), (2, 6, 6))
 
 
 def _deconv_learned(_):
     rng = Rng.stream(_SEED, 5)
-    return _probe(Deconv2DLayer.create(3, 2, 5, "sigmoid", rng), rng, (3, 6, 6), (2, 6, 6))
+    layer = Deconv2DLayer(init_weights((2, 3, 5, 5), rng), np.zeros(2), "sigmoid")
+    return _probe(layer, rng, (3, 6, 6), (2, 6, 6))
 
 
 def _dense(_):
     rng = Rng.stream(_SEED, 6)
-    return _probe(DenseLayer.create(6, 4, "relu", rng), rng, (6,), (4,))
+    return _probe(DenseLayer(init_weights((4, 6), rng), np.zeros(4), "relu"), rng, (6,), (4,))
 
 
 def _softmax_xent(_):

@@ -16,7 +16,6 @@ from .autoencoder import EncoderStack, Stage, StageStack, TensorSource, seeded, 
 from .data.rng import Rng
 from .errors import ConfigError, DataError
 from .layers import (
-    Activation,
     DenseLayer,
     cross_entropy,
     softmax,
@@ -74,7 +73,7 @@ class CNNModel(StageStack):
 def dense_stage(name: str, n_in: int, n_out: int, activation: str,
                 tensor: TensorSource) -> Stage:
     return Stage(name, "dense", DenseLayer(tensor(f"{name}.W", (n_out, n_in)),
-                                           tensor(f"{name}.b", (n_out,)), Activation(activation)))
+                                           tensor(f"{name}.b", (n_out,)), activation))
 
 
 def assemble_cnn(encoder: EncoderStack, config: CNNConfig, tensor: TensorSource) -> CNNModel:
@@ -119,7 +118,7 @@ def finetune(model: CNNModel, samples: list[tuple[Tensor, int]], opt: SGDConfig,
         loss, probs, grads = model.loss_and_param_grads(img, label)
         return (loss, int(np.argmax(probs)) == label), grads
 
-    rows = train(model.named_parameters(), len(samples), sample, opt, epochs, seed)
+    rows = train("finetune", model.named_parameters(), len(samples), sample, opt, epochs, seed)
     return model, [(epoch, lr, float(np.mean([loss for loss, _ in stats])),
                     sum(hit for _, hit in stats) / len(samples))
                    for epoch, lr, stats in rows]

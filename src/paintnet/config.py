@@ -3,7 +3,8 @@
 Every field is optional; defaults are the desk-scale profile so the
 whole pipeline stays fast on a CPU.  The full-scale profile (256x256
 inputs, channels (100, 200), fully connected (400, 200)) ships alongside
-and can be selected by pointing --config at it.
+and can be selected by pointing --config at it.  Images are always
+read as RGB, so the input channel count (3) is not a setting.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class RunConfig:
     conv_channels: tuple[int, int] = (8, 16)
     fc_sizes: tuple[int, int] = (64, 32)
     n_classes: int = 3
-    input_channels: int = 3
     kernel: int = 5
     corruption_fraction: float = 0.2
     lr0: float = 0.01

@@ -11,6 +11,11 @@ decoder layer is defined relative to that convention: swap the channel
 axes and flip both spatial axes.  It is a numpy view of the encoder's
 kernel, not a copy, so an in-place update of one is an update of both.
 
+Each layer has one constructor, (weights, bias, activation name), and
+keeps the arrays it is given; ACTIVATIONS maps each name to its function
+and derivative.  The stage builders in autoencoder.py supply the
+arrays, fresh from init_weights or read from stored tensors.
+
 Every forward returns (output, cache) and every matching backward takes
 (cache, grad_output); both are pure functions of their arguments, so
 per-sample calls may run concurrently on disjoint inputs.
@@ -30,41 +35,6 @@ from .tensor import Tensor
 PROB_FLOOR = 1e-12
 
 
-class Activation:
-    """Elementwise nonlinearity with its derivative, selected by name."""
-
-    KINDS = ("relu", "sigmoid", "identity")
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise ArgumentError(f"unknown activation {kind!r}, expected one of {self.KINDS}")
-        self.kind = kind
-
-    def apply(self, z: Tensor) -> Tensor:
-        if self.kind == "relu":
-            return np.maximum(z, 0.0)
-        if self.kind == "sigmoid":
-            return _sigmoid(z)
-        return z
-
-    def derivative(self, z: Tensor) -> Tensor:
-        """d(apply)/dz evaluated at pre-activation z. relu uses subgradient 0 at z=0."""
-        if self.kind == "relu":
-            return (z > 0.0).astype(np.float64)
-        if self.kind == "sigmoid":
-            s = _sigmoid(z)
-            return s * (1.0 - s)
-        return np.ones_like(z)
-
-    def __repr__(self):
-        return f"Activation({self.kind!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Activation) and other.kind == self.kind
-
-
 def _sigmoid(z: Tensor) -> Tensor:
     # split by sign so exp() never overflows
     out = np.empty_like(z, dtype=np.float64)
@@ -75,14 +45,29 @@ def _sigmoid(z: Tensor) -> Tensor:
     return out
 
 
-def init_limit(fan_in: int) -> float:
-    """Uniform init half-width: sqrt(6 / fan_in)."""
-    return float(np.sqrt(6.0 / fan_in))
+def _sigmoid_derivative(z: Tensor) -> Tensor:
+    s = _sigmoid(z)
+    return s * (1.0 - s)
+
+
+# activation name -> (function, derivative at the pre-activation z);
+# relu's derivative is the subgradient 0 at z = 0
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "sigmoid": (_sigmoid, _sigmoid_derivative),
+    "identity": (lambda z: z, np.ones_like),
+}
+
+
+def _known_activation(name: str) -> str:
+    if name not in ACTIVATIONS:
+        raise ArgumentError(f"unknown activation {name!r}, expected one of {tuple(ACTIVATIONS)}")
+    return name
 
 
 def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
     """Seeded kernel, uniform in +-sqrt(6/fan_in); fan_in is every axis after the first."""
-    lim = init_limit(math.prod(shape[1:]))
+    lim = float(np.sqrt(6.0 / math.prod(shape[1:])))
     return rng.uniform_array(shape, -lim, lim)
 
 
@@ -144,12 +129,13 @@ class _SameCorrelation:
 
     weights: (out_channels, in_channels, k, k), k odd; zero padding of
     k//2 on all sides preserves the spatial size.  The weights and bias
-    arrays given are kept, not copied.
+    arrays given are kept, not copied; activation names an ACTIVATIONS entry.
     """
 
     kind = "conv"
 
-    def __init__(self, weights: Tensor, bias: Tensor, activation: Activation):
+    def __init__(self, weights: Tensor, bias: Tensor, activation: str):
+        self.activation = _known_activation(activation)
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
@@ -161,13 +147,6 @@ class _SameCorrelation:
                 f"{self.kind} bias shape {bias.shape} does not match {weights.shape[0]} filters")
         self.weights = weights
         self.bias = bias
-        self.activation = activation
-
-    @classmethod
-    def create(cls, in_channels: int, out_channels: int, kernel: int, activation: str, rng: Rng):
-        """Seeded layer: weights uniform in +-sqrt(6/fan_in), bias zero."""
-        w = init_weights((out_channels, in_channels, kernel, kernel), rng)
-        return cls(w, np.zeros(out_channels), Activation(activation))
 
     @property
     def in_channels(self) -> int:
@@ -188,14 +167,14 @@ class _SameCorrelation:
         h, w = x.shape[1], x.shape[2]
         xp = _pad2d(x, self.kernel // 2)
         z = _corr2d(xp, self.weights, h, w) + self.bias[:, None, None]
-        return self.activation.apply(z), (xp, z)
+        return ACTIVATIONS[self.activation][0](z), (xp, z)
 
     def backward(self, cache, grad_out: Tensor):
         xp, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(
                 f"{self.kind} grad shape {grad_out.shape} does not match output {z.shape}")
-        gz = grad_out * self.activation.derivative(z)
+        gz = grad_out * ACTIVATIONS[self.activation][1](z)
         grads = {
             "W": _corr2d_weight_grad(xp, gz, self.kernel),
             "b": gz.sum(axis=(1, 2)),
@@ -210,9 +189,6 @@ class _SameCorrelation:
 
 class Conv2DLayer(_SameCorrelation):
     """Same-padding convolution: the encoder's layer."""
-
-    def copy(self) -> "Conv2DLayer":
-        return Conv2DLayer(self.weights.copy(), self.bias.copy(), Activation(self.activation.kind))
 
 
 class Deconv2DLayer(_SameCorrelation):
@@ -231,8 +207,7 @@ class Deconv2DLayer(_SameCorrelation):
     def tied(cls, encoder: Conv2DLayer, activation: str, bias: Tensor | None = None):
         """A decoder on encoder's kernel; its bias is zero unless given."""
         return cls(transpose_flip(encoder.weights),
-                   np.zeros(encoder.in_channels) if bias is None else bias,
-                   Activation(activation))
+                   np.zeros(encoder.in_channels) if bias is None else bias, activation)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +293,8 @@ class DenseLayer:
     2.6 GB, and a copy would double the peak memory of building it.
     """
 
-    def __init__(self, weights: Tensor, bias: Tensor, activation: Activation):
+    def __init__(self, weights: Tensor, bias: Tensor, activation: str):
+        self.activation = _known_activation(activation)
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.array(bias, dtype=np.float64)
         if weights.ndim != 2:
@@ -327,12 +303,6 @@ class DenseLayer:
             raise ShapeError(f"dense bias shape {bias.shape} does not match {weights.shape[0]} units")
         self.weights = weights
         self.bias = bias
-        self.activation = activation
-
-    @classmethod
-    def create(cls, in_size: int, out_size: int, activation: str, rng: Rng) -> "DenseLayer":
-        return cls(init_weights((out_size, in_size), rng), np.zeros(out_size),
-                   Activation(activation))
 
     @property
     def in_size(self) -> int:
@@ -346,13 +316,13 @@ class DenseLayer:
         if x.ndim != 1 or x.shape[0] != self.in_size:
             raise ShapeError(f"dense input must be ({self.in_size},), got {x.shape}")
         z = self.weights @ x + self.bias
-        return self.activation.apply(z), (x, z)
+        return ACTIVATIONS[self.activation][0](z), (x, z)
 
     def backward(self, cache, grad_out: Tensor):
         x, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(f"dense grad shape {grad_out.shape} does not match output {z.shape}")
-        gz = grad_out * self.activation.derivative(z)
+        gz = grad_out * ACTIVATIONS[self.activation][1](z)
         grads = {"W": np.outer(gz, x), "b": gz.copy()}
         return self.weights.T @ gz, grads
 

@@ -80,17 +80,3 @@ def finite_difference_max_rel_error(loss_fn: Callable[[], float],
             worst = max(worst, err)
     return worst
 
-
-def grad_check(model, x: np.ndarray, target, eps: float = 1e-6) -> float:
-    """Max relative error between a model's analytic and numeric gradients.
-
-    The model must expose named_parameters(), loss_value(x, target), and
-    loss_and_param_grads(x, target) -> (loss, output, gradients); target
-    is the clean image for an autoencoder and the class index for a
-    classifier.
-    """
-    if eps <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
-    _, _, analytic = model.loss_and_param_grads(x, target)
-    return finite_difference_max_rel_error(
-        lambda: model.loss_value(x, target), model.named_parameters(), analytic, eps)

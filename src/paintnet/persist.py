@@ -36,6 +36,7 @@ from .autoencoder import (
     cae_stages,
     encoder_stages,
     stage_parameters,
+    stored,
 )
 from .classifier import CNNConfig, CNNModel, assemble_cnn
 from .errors import (
@@ -135,7 +136,7 @@ def _config_block(model) -> dict:
     c, h, w = model.input_shape
     return {**asdict(model.config), "input_size": [h, w], "input_channels": c,
             "conv_channels": [enc1.out_channels, model.layer("enc2").out_channels],
-            "kernel": enc1.kernel, "conv_activation": enc1.activation.kind}
+            "kernel": enc1.kernel, "conv_activation": enc1.activation}
 
 
 def save_checkpoint(model, path) -> int:
@@ -170,18 +171,6 @@ def _write_atomic(path: Path, blob: bytes) -> None:
         raise
 
 
-def _stored(tensors: dict[str, Tensor]):
-    """Stage-builder tensor source reading checkpoint records."""
-    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
-        if name not in tensors:
-            raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise CheckpointFormatError(
-                f"tensor {name!r} has shape {tensors[name].shape}, the config needs {shape}")
-        return tensors[name]
-    return tensor
-
-
 def _dataclass_from(cls, block: dict):
     return cls(**{f.name: tuple(block[f.name]) if isinstance(block[f.name], list)
                   else block[f.name] for f in fields(cls)})
@@ -209,6 +198,6 @@ def load_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     kind, block, tensors = decode_checkpoint(data)
     try:
-        return _rebuild(kind, block, _stored(tensors))
+        return _rebuild(kind, block, stored(tensors))
     except (KeyError, TypeError, ValueError, ConfigError, ArgumentError, ShapeError) as exc:
         raise CheckpointFormatError(f"config block does not describe a model: {exc!r}") from exc

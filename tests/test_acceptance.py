@@ -22,7 +22,6 @@ from paintnet.data.image import to_tensor
 from paintnet.data.manifest import kfold_split, load_manifest, parse_manifest
 from paintnet.data.rng import Rng
 from paintnet.layers import (
-    Activation,
     Conv2DLayer,
     Deconv2DLayer,
     maxpool2x2_forward,
@@ -134,7 +133,7 @@ def test_04_tied_deconv_matches_transposed_kernel():
         h = 4 + (i // 9) % 5
         w = 4 + (i // 45) % 4
         enc = Conv2DLayer(rng.uniform_array((cout, cin, k, k), -1.0, 1.0),
-                          np.zeros(cout), Activation("identity"))
+                          np.zeros(cout), "identity")
         dec = Deconv2DLayer.tied(enc, "identity")
         y = rng.uniform_array((cout, h, w), -1.0, 1.0)
         got, _ = dec.forward(y)
@@ -155,7 +154,7 @@ def test_05_convolution_matches_loop_oracle():
         w = 2 + (i // 63) % 7
         weights = rng.uniform_array((cout, cin, k, k), -1.0, 1.0)
         bias = rng.uniform_array((cout,), -0.5, 0.5)
-        layer = Conv2DLayer(weights, bias, Activation("identity"))
+        layer = Conv2DLayer(weights, bias, "identity")
         x = rng.uniform_array((cin, h, w), -1.0, 1.0)
         got, _ = layer.forward(x)
         worst = max(worst, float(np.max(np.abs(got - loop_conv(x, weights, bias)))))

@@ -13,9 +13,11 @@ from paintnet.autoencoder import (
     reconstruction_loss,
     shape_chain,
 )
+from paintnet.checks import _stack
 from paintnet.data.rng import Rng
 from paintnet.errors import ConfigError, DataError, ShapeError
-from paintnet.optim import SGDConfig, grad_check, lr_at_epoch
+from paintnet.layers import ACTIVATIONS
+from paintnet.optim import SGDConfig, finite_difference_max_rel_error, lr_at_epoch
 
 
 def small_config(**overrides):
@@ -139,7 +141,7 @@ def test_end_to_end_gradients():
     model = build_cae(small_config(), seed=20240217)
     x = Rng(41).uniform_array((3, 8, 8), 0.0, 1.0)
     clean = Rng(42).uniform_array((3, 8, 8), 0.0, 1.0)
-    assert grad_check(model, x, clean, eps=1e-6) < 1e-5
+    assert finite_difference_max_rel_error(*_stack(model, x, clean), 1e-6) < 1e-5
 
 
 def test_tied_gradients_land_on_encoder_kernels():
@@ -158,7 +160,7 @@ def test_untied_gradients_too():
     model = build_cae(small_config(tied_decoder=False), seed=7)
     x = Rng(70).uniform_array((3, 8, 8), 0.0, 1.0)
     clean = Rng(71).uniform_array((3, 8, 8), 0.0, 1.0)
-    assert grad_check(model, x, clean, eps=1e-6) < 1e-5
+    assert finite_difference_max_rel_error(*_stack(model, x, clean), 1e-6) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def test_extract_matches_cae_front_half():
     # the CAE's second pooling output is what the encoder stack should produce
     pooled = np.zeros_like(feats)
     chan = np.arange(pooled.shape[0])[:, None, None]
-    a2 = model.layer("enc2").activation.apply(caches["enc2"][1])
+    a2 = ACTIVATIONS[model.layer("enc2").activation][0](caches["enc2"][1])
     npt.assert_array_equal(feats, a2[chan, caches["pool2"].rows, caches["pool2"].cols])
 
 

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
+from paintnet.checks import _stack
 from paintnet.classifier import (
     CNNConfig,
     CNNModel,
@@ -14,7 +15,7 @@ from paintnet.classifier import (
 )
 from paintnet.data.rng import Rng
 from paintnet.errors import ConfigError, DataError, ShapeError
-from paintnet.optim import SGDConfig, grad_check, lr_at_epoch
+from paintnet.optim import SGDConfig, finite_difference_max_rel_error, lr_at_epoch
 
 
 def small_encoder(seed: int = 11):
@@ -133,7 +134,7 @@ def test_gradients_unfrozen():
     model = build_cnn(encoder_extract(cae),
                       CNNConfig(fc_sizes=(8, 5), n_classes=3), seed=6)
     x = Rng(8).uniform_array((3, 8, 8), 0.0, 1.0)
-    assert grad_check(model, x, 1, eps=1e-6) < 1e-5
+    assert finite_difference_max_rel_error(*_stack(model, x, 1), 1e-6) < 1e-5
 
 
 def test_gradients_frozen():
@@ -142,7 +143,7 @@ def test_gradients_frozen():
                       CNNConfig(fc_sizes=(8, 5), n_classes=3, freeze_encoder=True),
                       seed=6)
     x = Rng(8).uniform_array((3, 8, 8), 0.0, 1.0)
-    assert grad_check(model, x, 1, eps=1e-6) < 1e-5
+    assert finite_difference_max_rel_error(*_stack(model, x, 1), 1e-6) < 1e-5
     _, _, grads = model.loss_and_param_grads(x, 1)
     assert not any(k.startswith("enc") for k in grads)
 

@@ -171,6 +171,17 @@ def test_finetune_class_count_mismatch_exits_3(tmp_path):
     assert "classes" in err
 
 
+def test_input_channels_key_exits_2_before_any_read(tmp_path):
+    # images are always RGB, so the input channel count is not a setting
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    (tmp_path / "data" / "alpha" / "000.ppm").unlink()  # a read would exit 3
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest), input_channels=1)
+    code, out, err = run_cli("pretrain", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config keys ['input_channels']" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["finetune", "crossval"])
 @pytest.mark.parametrize("field,value", [("conv_channels", [4, 5]), ("kernel", 5),
                                          ("input_size", [32, 32])])
@@ -207,11 +218,11 @@ def test_diverged_training_exits_5_and_writes_no_checkpoint(tmp_path, command):
                        labeled_manifest=str(manifest), lr0=1e300)
     code, _, err = run_cli(command, "--config", str(cfg))
     assert code == 5
-    assert re.search(r"epoch \d+, batch \d+: \w+\.[Wb] is not finite after the SGD step", err)
+    assert re.search(rf"{command} epoch \d+, batch \d+: \w+\.[Wb] is not finite after the SGD step",
+                     err)
     assert not (tmp_path / "ckpt").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_last_step_exits_5_and_writes_no_checkpoint(tmp_path):
     # one batch, one epoch: the gradient is finite, lr * gradient overflows the weights,
     # and no later batch is left to see them
@@ -220,7 +231,9 @@ def test_overflowing_last_step_exits_5_and_writes_no_checkpoint(tmp_path):
                        batch_size=12, epochs_finetune=1)
     code, _, err = run_cli("finetune", "--config", str(cfg))
     assert code == 5
-    assert re.search(r"epoch 0, batch 0: \w+\.[Wb] is not finite after the SGD step", err)
+    # the one error line, no numpy overflow warning beside it
+    assert re.fullmatch(r"error: finetune epoch 0, batch 0: \w+\.[Wb] is not finite "
+                        r"after the SGD step\n", err)
     assert not (tmp_path / "ckpt").exists()
 
 

@@ -70,11 +70,11 @@ def test_every_field_annotation_has_one_validator():
 def test_sub_configs_consistent():
     # every value differs from the sub-config's own default
     cfg = config_from_dict({"input_size": [32, 32], "conv_channels": [4, 6],
-                            "input_channels": 1, "kernel": 3, "tied_decoder": False,
+                            "kernel": 3, "tied_decoder": False,
                             "corruption_fraction": 0.3, "fc_sizes": [12, 7], "n_classes": 4,
                             "freeze_encoder": True, "lr0": 0.2, "decay": 0.9,
                             "batch_size": 8})
-    carried = [(cfg.cae_config(), ("input_size", "conv_channels", "input_channels", "kernel",
+    carried = [(cfg.cae_config(), ("input_size", "conv_channels", "kernel",
                                    "tied_decoder", "corruption_fraction")),
                (cfg.cnn_config(), ("fc_sizes", "n_classes", "freeze_encoder")),
                (cfg.sgd_config(), ("lr0", "decay", "batch_size"))]

@@ -7,7 +7,8 @@ says so.
 Pretraining runs use power-of-two batch lengths only, where dividing a
 gradient sum by the batch length and multiplying it by the reciprocal
 agree.  The fine-tuning runs have batches of 9 and 3, which pin the
-division.
+division.  The gradient check's printed report is pinned too, so a
+change to any layer's arithmetic or to the check's draws shows here.
 """
 
 import contextlib
@@ -43,6 +44,9 @@ CROSSVAL = {
     "fold_02.dpnt": "bec01d22a7339a82da449ccdc97cf0d90f870dd98c2e3ee8f6d0aecaf28f49b1",
     "crossval_report.csv": "6c35aa122cd6b67e1965ae795977fb26ba56d79ee1c38222571fffa56ae1dfc6",
 }
+
+# stdout of `paintnet gradcheck --scale small`
+GRADCHECK_SMALL = "f05cda0d2ee96183e4e58805f8b1d98fbc2d500df5cd81f5b1106686277e14da"
 
 
 def _sha(path) -> str:
@@ -96,3 +100,10 @@ def test_crossval_bytes(dataset):
     ckpt, reports = _run(*dataset, "cv", "crossval")
     got = {name: _sha((reports if name.endswith(".csv") else ckpt) / name) for name in CROSSVAL}
     assert got == CROSSVAL
+
+
+def test_gradcheck_small_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gradcheck", "--scale", "small"]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL

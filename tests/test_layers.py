@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from paintnet.data.rng import Rng
 from paintnet.errors import ArgumentError, ShapeError
 from paintnet.layers import (
-    Activation,
+    ACTIVATIONS,
     Conv2DLayer,
     Deconv2DLayer,
     DenseLayer,
     cross_entropy,
-    init_limit,
+    init_weights,
     maxpool2x2_backward,
     maxpool2x2_forward,
     softmax,
@@ -48,6 +48,11 @@ def conv_oracle(x, weights, bias):
     return out
 
 
+def seeded_conv(in_c, out_c, k, activation, rng):
+    """A conv layer with init_weights' kernel and zero bias."""
+    return Conv2DLayer(init_weights((out_c, in_c, k, k), rng), np.zeros(out_c), activation)
+
+
 def transpose_flip(weights):
     """Explicit elementwise construction of the tied decoder kernel."""
     out_c, in_c, k, _ = weights.shape
@@ -66,24 +71,27 @@ def transpose_flip(weights):
 
 def test_activation_kinds():
     z = np.array([-2.0, 0.0, 3.0])
-    npt.assert_array_equal(Activation("relu").apply(z), [0.0, 0.0, 3.0])
-    npt.assert_array_equal(Activation("identity").apply(z), z)
-    npt.assert_allclose(Activation("sigmoid").apply(z),
+    npt.assert_array_equal(ACTIVATIONS["relu"][0](z), [0.0, 0.0, 3.0])
+    npt.assert_array_equal(ACTIVATIONS["identity"][0](z), z)
+    npt.assert_allclose(ACTIVATIONS["sigmoid"][0](z),
                         1.0 / (1.0 + np.exp(-z)), rtol=1e-14)
 
 
 def test_activation_unknown_kind():
-    with pytest.raises(ArgumentError):
-        Activation("tanh")
+    # every layer constructor rejects a name ACTIVATIONS lacks
+    for cls, weights in ((Conv2DLayer, np.zeros((1, 1, 3, 3))),
+                         (Deconv2DLayer, np.zeros((1, 1, 3, 3))), (DenseLayer, np.zeros((1, 2)))):
+        with pytest.raises(ArgumentError, match="unknown activation 'tanh'"):
+            cls(weights, np.zeros(1), "tanh")
 
 
 def test_relu_derivative_zero_at_kink():
-    d = Activation("relu").derivative(np.array([-1.0, 0.0, 1.0]))
+    d = ACTIVATIONS["relu"][1](np.array([-1.0, 0.0, 1.0]))
     npt.assert_array_equal(d, [0.0, 0.0, 1.0])
 
 
 def test_sigmoid_stable_at_extremes():
-    s = Activation("sigmoid").apply(np.array([-1000.0, 1000.0]))
+    s = ACTIVATIONS["sigmoid"][0](np.array([-1000.0, 1000.0]))
     assert 0.0 <= s[0] < 1e-10
     assert 1.0 - 1e-10 < s[1] <= 1.0
     assert np.all(np.isfinite(s))
@@ -93,16 +101,19 @@ def test_activation_derivatives_match_finite_differences():
     # away from the relu kink, rel. err < 1e-6
     z = np.array([-1.7, -0.3, 0.4, 2.2])
     eps = 1e-6
-    for kind in ("relu", "sigmoid", "identity"):
-        act = Activation(kind)
-        numeric = (act.apply(z + eps) - act.apply(z - eps)) / (2 * eps)
-        analytic = act.derivative(z)
-        npt.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+    for kind, (apply, derivative) in ACTIVATIONS.items():
+        numeric = (apply(z + eps) - apply(z - eps)) / (2 * eps)
+        analytic = derivative(z)
+        npt.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9, err_msg=kind)
 
 
-def test_init_limit():
-    assert init_limit(6) == pytest.approx(1.0)
-    assert init_limit(75) == pytest.approx(np.sqrt(6.0 / 75.0))
+def test_init_weights_bound():
+    # uniform in +-sqrt(6/fan_in), fan_in every axis after the first
+    for shape, fan_in in (((200, 6), 6), ((8, 3, 5, 5), 75)):
+        w = init_weights(shape, Rng(3))
+        lim = np.sqrt(6.0 / fan_in)
+        npt.assert_array_equal(w, Rng(3).uniform_array(shape, -lim, lim))
+        assert lim * 0.9 < np.abs(w).max() <= lim
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +124,7 @@ def test_conv_delta_kernel_is_identity():
     w = np.zeros((2, 2, 5, 5))
     w[0, 0, 2, 2] = 1.0
     w[1, 1, 2, 2] = 1.0
-    layer = Conv2DLayer(w, np.zeros(2), Activation("identity"))
+    layer = Conv2DLayer(w, np.zeros(2), "identity")
     x = Rng(0).uniform_array((2, 6, 6), -1.0, 1.0)
     y, _ = layer.forward(x)
     npt.assert_allclose(y, x, atol=1e-15)
@@ -121,7 +132,7 @@ def test_conv_delta_kernel_is_identity():
 
 def test_conv_constant_input_interior():
     w = np.ones((1, 1, 5, 5))
-    layer = Conv2DLayer(w, np.zeros(1), Activation("identity"))
+    layer = Conv2DLayer(w, np.zeros(1), "identity")
     x = np.full((1, 8, 8), 3.0)
     y, _ = layer.forward(x)
     # interior pixels see the whole 5x5 window
@@ -136,7 +147,7 @@ def test_conv_matches_loop_oracle():
         h = 2 + trial % 7  # extents <= 8
         w = 2 + (trial // 7) % 7
         k = 5 if trial % 2 == 0 else 3
-        layer = Conv2DLayer.create(in_c, out_c, k, "identity", rng)
+        layer = seeded_conv(in_c, out_c, k, "identity", rng)
         layer.bias[:] = rng.uniform_array((out_c,), -0.5, 0.5)
         x = rng.uniform_array((in_c, h, w), -1.0, 1.0)
         y, _ = layer.forward(x)
@@ -145,27 +156,27 @@ def test_conv_matches_loop_oracle():
 
 
 def test_conv_channel_mismatch():
-    layer = Conv2DLayer.create(3, 2, 5, "relu", Rng(0))
+    layer = seeded_conv(3, 2, 5, "relu", Rng(0))
     with pytest.raises(ShapeError):
         layer.forward(np.zeros((2, 6, 6)))
 
 
 def test_conv_even_kernel_rejected():
     with pytest.raises(ShapeError):
-        Conv2DLayer(np.zeros((1, 1, 4, 4)), np.zeros(1), Activation("relu"))
+        Conv2DLayer(np.zeros((1, 1, 4, 4)), np.zeros(1), "relu")
 
 
 def test_conv_activation_applied():
     w = np.zeros((1, 1, 5, 5))
     w[0, 0, 2, 2] = 1.0
-    layer = Conv2DLayer(w, np.zeros(1), Activation("relu"))
+    layer = Conv2DLayer(w, np.zeros(1), "relu")
     x = np.array([[[-1.0, 2.0], [3.0, -4.0]]])
     y, _ = layer.forward(x)
     npt.assert_array_equal(y, [[[0.0, 2.0], [3.0, 0.0]]])
 
 
 def test_conv_backward_zero_upstream():
-    layer = Conv2DLayer.create(2, 3, 5, "relu", Rng(5))
+    layer = seeded_conv(2, 3, 5, "relu", Rng(5))
     x = Rng(6).uniform_array((2, 6, 6), -1.0, 1.0)
     _, cache = layer.forward(x)
     gx, grads = layer.backward(cache, np.zeros((3, 6, 6)))
@@ -176,7 +187,7 @@ def test_conv_backward_zero_upstream():
 
 def test_conv_gradients_match_finite_differences():
     rng = Rng(77)
-    layer = Conv2DLayer.create(2, 3, 5, "sigmoid", rng)
+    layer = seeded_conv(2, 3, 5, "sigmoid", rng)
     x = rng.uniform_array((2, 5, 5), -1.0, 1.0)
     r = rng.uniform_array((3, 5, 5), -1.0, 1.0)
 
@@ -312,7 +323,7 @@ def test_deconv_tied_delta_kernel_identity():
     w = np.zeros((2, 2, 5, 5))
     w[0, 0, 2, 2] = 1.0
     w[1, 1, 2, 2] = 1.0
-    enc = Conv2DLayer(w, np.zeros(2), Activation("identity"))
+    enc = Conv2DLayer(w, np.zeros(2), "identity")
     dec = Deconv2DLayer.tied(enc, "identity")
     x = Rng(1).uniform_array((2, 6, 6), -1.0, 1.0)
     y, _ = dec.forward(x)
@@ -321,7 +332,7 @@ def test_deconv_tied_delta_kernel_identity():
 
 def test_deconv_learned_zero_kernel():
     dec = Deconv2DLayer(weights=np.zeros((2, 3, 5, 5)), bias=np.zeros(2),
-                        activation=Activation("identity"))
+                        activation="identity")
     y, _ = dec.forward(np.ones((3, 4, 4)))
     npt.assert_array_equal(y, np.zeros((2, 4, 4)))
 
@@ -333,20 +344,20 @@ def test_deconv_tied_matches_transpose_flip_oracle():
         out_c = 1 + (trial // 3) % 3
         h = 2 + trial % 6
         w = 2 + (trial // 5) % 6
-        enc = Conv2DLayer.create(in_c, out_c, 5, "relu", rng)
+        enc = seeded_conv(in_c, out_c, 5, "relu", rng)
         dec = Deconv2DLayer.tied(enc, "identity")
         dec.bias[:] = rng.uniform_array((in_c,), -0.5, 0.5)
         x = rng.uniform_array((out_c, h, w), -1.0, 1.0)
         y, _ = dec.forward(x)
         oracle_layer = Conv2DLayer(transpose_flip(enc.weights), dec.bias,
-                                   Activation("identity"))
+                                   "identity")
         expected, _ = oracle_layer.forward(x)
         npt.assert_allclose(y, expected, atol=1e-12)
 
 
 def test_deconv_tied_shares_encoder_updates():
     # mutating the encoder kernel must change the tied decoder's output
-    enc = Conv2DLayer.create(2, 3, 5, "identity", Rng(9))
+    enc = seeded_conv(2, 3, 5, "identity", Rng(9))
     dec = Deconv2DLayer.tied(enc, "identity")
     x = Rng(10).uniform_array((3, 4, 4), -1.0, 1.0)
     y1, _ = dec.forward(x)
@@ -358,7 +369,7 @@ def test_deconv_tied_shares_encoder_updates():
 def test_deconv_adjoint_of_conv():
     # with zero bias and identity activation, <conv(x), y> == <x, deconv(y)>
     rng = Rng(606)
-    enc = Conv2DLayer.create(3, 2, 5, "identity", rng)
+    enc = seeded_conv(3, 2, 5, "identity", rng)
     dec = Deconv2DLayer.tied(enc, "identity")
     x = rng.uniform_array((3, 6, 6), -1.0, 1.0)
     y = rng.uniform_array((2, 6, 6), -1.0, 1.0)
@@ -368,7 +379,7 @@ def test_deconv_adjoint_of_conv():
 
 
 def test_deconv_channel_mismatch():
-    enc = Conv2DLayer.create(2, 3, 5, "relu", Rng(0))
+    enc = seeded_conv(2, 3, 5, "relu", Rng(0))
     dec = Deconv2DLayer.tied(enc, "relu")
     with pytest.raises(ShapeError):
         dec.forward(np.zeros((2, 4, 4)))
@@ -379,34 +390,34 @@ def test_deconv_channel_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_dense_identity_case():
-    layer = DenseLayer(np.eye(3), np.zeros(3), Activation("identity"))
+    layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
     x = np.array([1.0, -2.0, 0.5])
     y, _ = layer.forward(x)
     npt.assert_array_equal(y, x)
 
 
 def test_dense_arithmetic_example():
-    layer = DenseLayer(np.array([[1.0, 1.0]]), np.array([1.0]), Activation("identity"))
+    layer = DenseLayer(np.array([[1.0, 1.0]]), np.array([1.0]), "identity")
     y, _ = layer.forward(np.array([2.0, 3.0]))
     npt.assert_array_equal(y, [6.0])
 
 
 def test_dense_relu_clips():
-    layer = DenseLayer(np.eye(2), np.zeros(2), Activation("relu"))
+    layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
     y, _ = layer.forward(np.array([-1.0, 2.0]))
     npt.assert_array_equal(y, [0.0, 2.0])
 
 
 def test_dense_keeps_float64_weights_uncopied():
     w = np.ones((2, 3))
-    assert DenseLayer(w, np.zeros(2), Activation("identity")).weights is w
-    layer = DenseLayer([[1, 2, 3]], np.zeros(1), Activation("identity"))
+    assert DenseLayer(w, np.zeros(2), "identity").weights is w
+    layer = DenseLayer([[1, 2, 3]], np.zeros(1), "identity")
     assert layer.weights.dtype == np.float64 and layer.weights.shape == (1, 3)
 
 
 def test_dense_backward_transpose_oracle():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    layer = DenseLayer(w, np.zeros(2), Activation("identity"))
+    layer = DenseLayer(w, np.zeros(2), "identity")
     x = np.array([0.5, -1.5])
     _, cache = layer.forward(x)
     g = np.array([1.0, -1.0])
@@ -417,7 +428,7 @@ def test_dense_backward_transpose_oracle():
 
 
 def test_dense_length_mismatch():
-    layer = DenseLayer.create(4, 2, "relu", Rng(0))
+    layer = DenseLayer(init_weights((2, 4), Rng(0)), np.zeros(2), "relu")
     with pytest.raises(ShapeError):
         layer.forward(np.zeros(5))
 

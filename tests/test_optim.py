@@ -124,11 +124,11 @@ def test_finite_difference_bad_eps():
 
 def test_grad_check_linear_model_near_exact():
     # purely linear loss: central differences are exact up to round-off
+    from paintnet.checks import _stack
     from paintnet.data.rng import Rng
-    from paintnet.layers import DenseLayer
-    from paintnet.optim import grad_check
+    from paintnet.layers import DenseLayer, init_weights
 
-    layer = DenseLayer.create(4, 3, "identity", Rng(12))
+    layer = DenseLayer(init_weights((3, 4), Rng(12)), np.zeros(3), "identity")
     r = Rng(13).uniform_array((3,), -1.0, 1.0)
 
     class LinearModel:
@@ -145,13 +145,13 @@ def test_grad_check_linear_model_near_exact():
             return float((y * r).sum()), y, {"W": grads["W"], "b": grads["b"]}
 
     x = Rng(14).uniform_array((4,), -1.0, 1.0)
-    assert grad_check(LinearModel(), x, None, eps=1e-6) < 1e-9
+    assert finite_difference_max_rel_error(*_stack(LinearModel(), x, None), 1e-6) < 1e-9
 
 
 def test_grad_check_error_shrinks_with_eps_on_smooth_model():
     from paintnet.autoencoder import CAEConfig, build_cae
+    from paintnet.checks import _stack
     from paintnet.data.rng import Rng
-    from paintnet.optim import grad_check
 
     config = CAEConfig(input_size=(4, 4), conv_channels=(1, 2), input_channels=1,
                        hidden_activation="sigmoid", output_activation="sigmoid")
@@ -159,7 +159,8 @@ def test_grad_check_error_shrinks_with_eps_on_smooth_model():
     x = Rng(15).uniform_array((1, 4, 4), 0.0, 1.0)
     clean = Rng(16).uniform_array((1, 4, 4), 0.0, 1.0)
     # truncation-dominated regime: quadratic decrease
-    errs = [grad_check(model, x, clean, eps=e) for e in (1e-2, 1e-3, 1e-4)]
+    errs = [finite_difference_max_rel_error(*_stack(model, x, clean), e)
+            for e in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     # at 1e-6 round-off may dominate: plateau, staying under the threshold
-    assert grad_check(model, x, clean, eps=1e-6) < 1e-5
+    assert finite_difference_max_rel_error(*_stack(model, x, clean), 1e-6) < 1e-5
