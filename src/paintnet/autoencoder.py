@@ -230,11 +230,13 @@ class StageStack:
         """Gradients of every trained parameter for an output gradient.
 
         A tied deconv's kernel gradient, mapped by transpose_flip into its
-        conv's layout, is added onto that conv's.
+        conv's layout, is added onto that conv's.  The first trained
+        stage computes no input gradient, since nothing reads it.
         """
         grads: dict[str, Tensor] = {}
         g = grad_out
-        for st in reversed(self.stages[self.trained_from:]):
+        trained = self.stages[self.trained_from:]
+        for st in reversed(trained):
             if st.kind == "pool":
                 g = maxpool2x2_backward(caches[st.name], g)
             elif st.kind == "unpool":
@@ -242,7 +244,8 @@ class StageStack:
             elif st.kind == "flatten":
                 g = g.reshape(caches[st.name])
             else:
-                g, layer_grads = st.layer.backward(caches[st.name], g)
+                g, layer_grads = st.layer.backward(caches[st.name], g,
+                                                   input_grad=st is not trained[0])
                 for key, grad in layer_grads.items():
                     name = f"{st.name}.{key}"
                     if st.ref is not None and key == "W":
@@ -328,8 +331,15 @@ def train(phase: str, params: dict[str, Tensor], count: int, sample, opt: SGDCon
     divided by the batch length, so the thread count never changes a bit.
     A parameter that is not finite after a step raises NumericError
     naming phase, whether a non-finite gradient or the step itself made
-    it so; that check, not a numpy warning, reports the step's overflow.
+    it so; that check, not a numpy warning, reports an overflow in a
+    sample's passes or in the step.
     """
+    def quiet_sample(epoch, index):
+        # set in the worker: numpy's error state is a contextvar, which
+        # pool threads do not inherit
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sample(epoch, index)
+
     rows = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -342,7 +352,7 @@ def train(phase: str, params: dict[str, Tensor], count: int, sample, opt: SGDCon
                 batch = order[start:start + opt.batch_size]
                 total = None
                 for info, grads in (pool.map if pool else map)(
-                        sample, [epoch] * len(batch), batch):
+                        quiet_sample, [epoch] * len(batch), batch):
                     stats.append(info)
                     if total is None:
                         total = grads  # a sample's gradients are fresh arrays

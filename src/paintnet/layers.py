@@ -11,6 +11,16 @@ decoder layer is defined relative to that convention: swap the channel
 axes and flip both spatial axes.  It is a numpy view of the encoder's
 kernel, not a copy, so an in-place update of one is an update of both.
 
+The correlation and its input gradient shift and accumulate (the kn2row
+scheme): the padded input lives in one flat buffer per channel, each
+kernel offset is one matrix product on a strided view of it, and no
+offset copies a window.  Every output element is the same dot product
+over input channels, summed in the same offset order, as a product per
+copied window gives, so the bits match too, except where the BLAS
+rounds the last few columns of a product in an edge kernel and only one
+layout puts that element there.  The kernel gradient still takes one
+product per offset on a window of the padded input.
+
 Each layer has one constructor, (weights, bias, activation name), and
 keeps the arrays it is given; ACTIVATIONS maps each name to its function
 and derivative.  The stage builders in autoencoder.py supply the
@@ -18,7 +28,9 @@ arrays, fresh from init_weights or read from stored tensors.
 
 Every forward returns (output, cache) and every matching backward takes
 (cache, grad_output); both are pure functions of their arguments, so
-per-sample calls may run concurrently on disjoint inputs.
+per-sample calls may run concurrently on disjoint inputs.  A layer's
+backward returns None for the input gradient when asked for none
+(input_grad=False), as the first trained stage of a model is.
 """
 
 from __future__ import annotations
@@ -75,21 +87,30 @@ def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
 # cross-correlation primitives shared by conv and deconv
 # ---------------------------------------------------------------------------
 
-def _pad2d(x: Tensor, pad: int) -> Tensor:
+def _corr2d(x: Tensor, weights: Tensor) -> tuple[Tensor, Tensor]:
+    """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, padded x).
+
+    x is zero-padded into one flat (c, hp*wp + k - 1) buffer, so the
+    input window of kernel offset (u, v) is the strided view starting at
+    u*wp + v, and each offset is one matrix product with no copy.  Every
+    output row then runs wp - w wrap columns past the image, which are
+    dropped.  The padded x returned is a view of the buffer.
+    """
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    return xp
-
-
-def _corr2d(xp: Tensor, weights: Tensor, h: int, w: int) -> Tensor:
-    """Valid cross-correlation of the padded input, giving an (out_c, h, w) map."""
     k = weights.shape[2]
-    out = np.zeros((weights.shape[0], h, w), dtype=np.float64)
+    pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((c, hp * wp + k - 1), dtype=np.float64)
+    xp = flat[:, :hp * wp].reshape(c, hp, wp)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    # (k, k, out, in): a C-contiguous block per offset, which matmul hands to BLAS
+    wk = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+    out = np.zeros((weights.shape[0], h * wp), dtype=np.float64)
     for u in range(k):
         for v in range(k):
-            out += np.tensordot(weights[:, :, u, v], xp[:, u:u + h, v:v + w], axes=(1, 0))
-    return out
+            s = u * wp + v
+            out += wk[u, v] @ flat[:, s:s + h * wp]
+    return out.reshape(-1, h, wp)[:, :, :w], xp
 
 
 def _corr2d_weight_grad(xp: Tensor, gz: Tensor, k: int) -> Tensor:
@@ -101,14 +122,28 @@ def _corr2d_weight_grad(xp: Tensor, gz: Tensor, k: int) -> Tensor:
     return gw
 
 
-def _corr2d_input_grad(gz: Tensor, weights: Tensor, pad: int) -> Tensor:
-    h, w = gz.shape[1], gz.shape[2]
+def _corr2d_input_grad(gz: Tensor, weights: Tensor) -> Tensor:
+    """Gradient of _corr2d's map with respect to its input, for map gradient gz.
+
+    The mirror of _corr2d: gz is zero-padded to width wp, and offset
+    (u, v) adds its product into the flat padded gradient at u*wp + v.
+    The zero wrap columns add only +-0 onto sums that start at +0, so
+    they move no bit, not even a sign.
+    """
+    o, h, w = gz.shape
     k = weights.shape[2]
-    gxp = np.zeros((weights.shape[1], h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    gz_flat = np.zeros((o, h, wp), dtype=np.float64)
+    gz_flat[:, :, :w] = gz
+    gz_flat = gz_flat.reshape(o, h * wp)
+    wt = np.ascontiguousarray(weights.transpose(2, 3, 1, 0))  # (k, k, in, out)
+    gxp = np.zeros((weights.shape[1], hp * wp + k - 1), dtype=np.float64)
     for u in range(k):
         for v in range(k):
-            gxp[:, u:u + h, v:v + w] += np.tensordot(weights[:, :, u, v], gz, axes=(0, 0))
-    return gxp[:, pad:pad + h, pad:pad + w]
+            s = u * wp + v
+            gxp[:, s:s + h * wp] += wt[u, v] @ gz_flat
+    return gxp[:, :hp * wp].reshape(-1, hp, wp)[:, pad:pad + h, pad:pad + w]
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +199,12 @@ class _SameCorrelation:
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ShapeError(
                 f"{self.kind} input must be ({self.in_channels}, h, w), got {x.shape}")
-        h, w = x.shape[1], x.shape[2]
-        xp = _pad2d(x, self.kernel // 2)
-        z = _corr2d(xp, self.weights, h, w) + self.bias[:, None, None]
+        out, xp = _corr2d(x, self.weights)
+        z = out + self.bias[:, None, None]
         return ACTIVATIONS[self.activation][0](z), (xp, z)
 
-    def backward(self, cache, grad_out: Tensor):
+    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
+        """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
         xp, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(
@@ -179,8 +214,7 @@ class _SameCorrelation:
             "W": _corr2d_weight_grad(xp, gz, self.kernel),
             "b": gz.sum(axis=(1, 2)),
         }
-        gx = _corr2d_input_grad(gz, self.weights, self.kernel // 2)
-        return gx, grads
+        return _corr2d_input_grad(gz, self.weights) if input_grad else None, grads
 
 
 # Conv2DLayer and Deconv2DLayer are siblings, not parent and child:
@@ -318,13 +352,14 @@ class DenseLayer:
         z = self.weights @ x + self.bias
         return ACTIVATIONS[self.activation][0](z), (x, z)
 
-    def backward(self, cache, grad_out: Tensor):
+    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
+        """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
         x, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(f"dense grad shape {grad_out.shape} does not match output {z.shape}")
         gz = grad_out * ACTIVATIONS[self.activation][1](z)
         grads = {"W": np.outer(gz, x), "b": gz.copy()}
-        return self.weights.T @ gz, grads
+        return self.weights.T @ gz if input_grad else None, grads
 
 
 def softmax(logits: Tensor) -> Tensor:

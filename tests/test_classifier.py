@@ -221,6 +221,26 @@ def test_finetune_frozen_keeps_encoder_bits():
     assert not np.array_equal(model.layer("fc1").weights, head_before)
 
 
+@pytest.mark.parametrize("model, target, first", [
+    (build_cae(CAEConfig(input_size=(8, 8), conv_channels=(2, 3)), seed=5), None, "enc1"),
+    (small_cnn(freeze=False), 1, "enc1"),
+    (small_cnn(freeze=True), 1, "fc1"),
+], ids=["autoencoder", "unfrozen", "frozen"])
+def test_backward_skips_only_the_first_trained_input_gradient(monkeypatch, model, target,
+                                                             first):
+    asked = {}
+    for st in model.stages:
+        if st.layer is not None:
+            def spy(cache, g, input_grad=True, name=st.name, backward=st.layer.backward):
+                asked[name] = input_grad
+                return backward(cache, g, input_grad=input_grad)
+            monkeypatch.setattr(st.layer, "backward", spy)
+    x = Rng(4).uniform_array(model.input_shape, 0.0, 1.0)
+    model.loss_and_param_grads(x, x if target is None else target)
+    assert [name for name, wanted in asked.items() if not wanted] == [first]
+    assert len(asked) > 1
+
+
 def test_finetune_unfrozen_moves_encoder():
     model = small_cnn(freeze=False)
     before = model.layer("enc1").weights.copy()

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import paintnet
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
 from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.cli import main
@@ -135,6 +139,25 @@ def test_pretrain_writes_artifacts(tmp_path):
     assert "wrote" in out
 
 
+def test_blas_thread_count_does_not_change_pretrain_checkpoint(tmp_path):
+    # at 32px with 32 and 64 channels, OpenBLAS splits some conv products over two threads
+    manifest = write_dataset(tmp_path / "data", n_per_class=3, side=32, seed=3)
+    src = str(Path(paintnet.__file__).resolve().parents[1])
+    written = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        out.mkdir()
+        cfg = write_config(out, pretrain_manifest=str(manifest), data_root=str(tmp_path / "data"),
+                           input_size=[32, 32], conv_channels=[32, 64], kernel=5,
+                           epochs_pretrain=1)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
+        done = subprocess.run([sys.executable, "-m", "paintnet", "pretrain", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written.append((out / "ckpt" / "cae.dpnt").read_bytes())
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # finetune
 # ---------------------------------------------------------------------------
@@ -210,16 +233,17 @@ def test_classifier_in_place_of_autoencoder_checkpoint_exits_4(tmp_path):
     assert "not an autoencoder" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_diverged_training_exits_5_and_writes_no_checkpoint(tmp_path, command):
+    # huge but finite weights after a step overflow the next batch's forward
     manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=1)
     cfg = write_config(tmp_path, pretrain_manifest=str(manifest),
                        labeled_manifest=str(manifest), lr0=1e300)
     code, _, err = run_cli(command, "--config", str(cfg))
     assert code == 5
-    assert re.search(rf"{command} epoch \d+, batch \d+: \w+\.[Wb] is not finite after the SGD step",
-                     err)
+    # the one error line, no numpy overflow warning beside it
+    assert re.fullmatch(rf"error: {command} epoch \d+, batch \d+: \w+\.[Wb] is not finite "
+                        r"after the SGD step\n", err)
     assert not (tmp_path / "ckpt").exists()
 
 

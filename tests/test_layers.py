@@ -1,7 +1,9 @@
 """Layer forward/backward contracts against brute-force oracles.
 
 The oracles here are written as plain nested loops, independent of the
-implementation's tensordot slicing, so agreement is meaningful.
+implementation's flat shift-and-accumulate products, so agreement is
+meaningful.  The per-offset tensordot formulation those products
+replaced is kept here too, as the reference they match byte for byte.
 """
 
 import numpy as np
@@ -201,6 +203,75 @@ def test_conv_gradients_match_finite_differences():
         loss, {"W": layer.weights, "b": layer.bias, "x": x},
         {"W": grads["W"], "b": grads["b"], "x": gx}, eps=1e-6)
     assert err < 1e-5
+
+
+def corr_by_offset(x, weights, gz):
+    """Same-padding correlation of x and its input and kernel gradients for map gradient gz.
+
+    One tensordot per kernel offset on a copied window of the padded
+    input: the formulation the flat shift-and-accumulate one replaced.
+    """
+    c, h, w = x.shape
+    k = weights.shape[2]
+    pad = k // 2
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    out = np.zeros((weights.shape[0], h, w))
+    gxp = np.zeros_like(xp)
+    gw = np.empty(weights.shape)
+    for u in range(k):
+        for v in range(k):
+            window = xp[:, u:u + h, v:v + w]
+            out += np.tensordot(weights[:, :, u, v], window, axes=(1, 0))
+            gxp[:, u:u + h, v:v + w] += np.tensordot(weights[:, :, u, v], gz, axes=(0, 0))
+            gw[:, :, u, v] = np.tensordot(gz, window, axes=([1, 2], [1, 2]))
+    return out, gxp[:, pad:pad + h, pad:pad + w], gw
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# (in, out, k, h, w) of a conv, whose tied deconv maps out to in: k 1, 3
+# and 5, h != w, odd widths, one input channel.
+# BLAS may round the last few columns of a product in an edge kernel
+# (OpenBLAS 0.3.31 on Haswell: the last h*w mod 4 of a one-row product,
+# and the last h*w mod 8 <= 4 once a product sums 16 terms), and the two
+# formulations lay a map out at different widths.  So every product here
+# sums fewer than 16 terms, and a one-row one has h*w a multiple of 4.
+RAGGED = [(3, 5, 5, 6, 9), (1, 4, 3, 8, 7), (2, 3, 1, 5, 11), (6, 2, 5, 9, 13),
+          (4, 3, 3, 7, 4)]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["conv", "tied-deconv"])
+@pytest.mark.parametrize("shape", RAGGED, ids=lambda s: "x".join(map(str, s)))
+def test_correlation_bytes_match_per_offset_tensordot(shape, tied):
+    in_c, out_c, k, h, w = shape
+    rng = Rng(sum(shape))
+    layer = seeded_conv(in_c, out_c, k, "relu", rng)
+    if tied:
+        layer = Deconv2DLayer.tied(layer, "relu")
+    layer.bias[:] = rng.uniform_array(layer.bias.shape, -0.5, 0.5)
+    x = rng.uniform_array((layer.in_channels, h, w), -1.0, 1.0)
+    x[:, ::3, ::2] = -0.0  # signed zeros in, and relu's zero slopes give signed zeros in gz
+    x[:, 1::3, ::2] = 0.0
+    g = rng.uniform_array((layer.out_channels, h, w), -1.0, 1.0)
+
+    y, cache = layer.forward(x)
+    z = cache[1]
+    out, gx_ref, gw_ref = corr_by_offset(x, layer.weights, g * (z > 0.0))
+    assert_same_bytes(z, out + layer.bias[:, None, None])
+    assert_same_bytes(y, np.maximum(z, 0.0))
+
+    gx, grads = layer.backward(cache, g)
+    assert_same_bytes(gx, gx_ref)
+    assert_same_bytes(grads["W"], gw_ref)
+    no_gx, no_gx_grads = layer.backward(cache, g, input_grad=False)
+    assert no_gx is None
+    assert no_gx_grads.keys() == grads.keys()
+    for key in grads:
+        assert_same_bytes(no_gx_grads[key], grads[key])
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +496,10 @@ def test_dense_backward_transpose_oracle():
     npt.assert_array_equal(gx, w.T @ g)
     npt.assert_array_equal(grads["W"], np.outer(g, x))
     npt.assert_array_equal(grads["b"], g)
+    no_gx, no_gx_grads = layer.backward(cache, g, input_grad=False)
+    assert no_gx is None
+    npt.assert_array_equal(no_gx_grads["W"], grads["W"])
+    npt.assert_array_equal(no_gx_grads["b"], grads["b"])
 
 
 def test_dense_length_mismatch():
