@@ -1,6 +1,6 @@
 """Forward and backward passes for every layer kind in the engine.
 
-Covers same-padding convolution, 2x2 max-pooling with argmax switches,
+Covers same-padding convolution, 2x2 max-pooling with first-max switches,
 switch-driven unpooling, transposed convolution (tied or learned), dense
 layers, the three supported activations, softmax, and cross-entropy.
 
@@ -250,30 +250,47 @@ class Deconv2DLayer(_SameCorrelation):
 
 @dataclass(frozen=True)
 class PoolSwitches:
-    """Argmax coordinates recorded by 2x2 max-pooling.
+    """Where 2x2 max-pooling found each window's maximum.
 
-    rows/cols give, per pooled position, the input-plane coordinate of
-    the selected maximum; each lies inside its own 2x2 window.
+    index gives, per pooled position, the flat (row-major) index into
+    the (c, h, w) input of the selected element; each lies inside its
+    own 2x2 window.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
+    index: np.ndarray
+    input_shape: tuple[int, int, int]
 
     @property
     def pooled_shape(self) -> tuple[int, int, int]:
-        return self.rows.shape
+        return self.index.shape
 
     @property
-    def input_shape(self) -> tuple[int, int, int]:
-        c, h2, w2 = self.rows.shape
-        return (c, 2 * h2, 2 * w2)
+    def rows(self) -> np.ndarray:
+        return self.index // self.input_shape[2] % self.input_shape[1]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.index % self.input_shape[2]
+
+
+def _wins(b: Tensor, a: Tensor, nan: bool) -> np.ndarray:
+    """Where b displaces a as the running maximum: b > a, or b is the first NaN."""
+    won = b > a
+    if nan:
+        won |= np.isnan(b) & ~np.isnan(a)
+    return won
 
 
 def maxpool2x2_forward(x: Tensor) -> tuple[Tensor, PoolSwitches]:
     """Per-window maximum over 2x2 blocks, stride 2.
 
-    Ties go to the first maximum in row-major window order, so the
-    switches are deterministic and checkpoint-stable.
+    Ties go to the first maximum in row-major window order, and a window
+    holding a NaN to its first NaN, as argmax does, so the switches are
+    deterministic and checkpoint-stable.  x is de-interleaved into four
+    contiguous planes, one per window element, and a pairwise tournament
+    of strict comparisons picks each winner; the pooled value is read
+    back from x at the winning index, so its sign and NaN payload are
+    the input's.
     """
     if x.ndim != 3:
         raise ShapeError(f"pool input must be (c, h, w), got {x.shape}")
@@ -281,12 +298,23 @@ def maxpool2x2_forward(x: Tensor) -> tuple[Tensor, PoolSwitches]:
     if h % 2 or w % 2:
         raise ShapeError(f"pool input extents must be even, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    win = x.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
-    idx = win.argmax(axis=3)  # argmax returns the first maximum
-    pooled = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
-    rows = 2 * np.arange(h2, dtype=np.int64)[None, :, None] + idx // 2
-    cols = 2 * np.arange(w2, dtype=np.int64)[None, None, :] + idx % 2
-    return pooled, PoolSwitches(rows=rows, cols=cols)
+    # planes: top-left, top-right, bottom-left, bottom-right
+    p = np.ascontiguousarray(x.reshape(c, h2, 2, w2, 2).transpose(2, 4, 0, 1, 3))
+    p = p.reshape(4, c, h2, w2)
+    nan = bool(np.isnan(p.max()))  # only then is argmax's first-NaN rule needed
+    right = _wins(p[1], p[0], nan)
+    right_bottom = _wins(p[3], p[2], nan)
+    # each pair's maximum compares as its winner does, NaN included
+    np.maximum(p[0], p[1], out=p[0])
+    np.maximum(p[2], p[3], out=p[2])
+    bottom = _wins(p[2], p[0], nan)
+    right ^= (right ^ right_bottom) & bottom  # the winning pair's column
+    # window (i, j) of channel k starts at 2*w*(k*h2 + i) + 2*j
+    index = np.multiply(bottom, w, dtype=np.int64)
+    index += right
+    index += (2 * w) * np.arange(c * h2, dtype=np.int64).reshape(c, h2, 1)
+    index += 2 * np.arange(w2, dtype=np.int64)
+    return np.take(x, index), PoolSwitches(index, (c, h, w))
 
 
 def unpool2x2_forward(x: Tensor, switches: PoolSwitches) -> Tensor:
@@ -297,8 +325,7 @@ def unpool2x2_forward(x: Tensor, switches: PoolSwitches) -> Tensor:
         raise ShapeError(
             f"unpool input {x.shape} does not match switches {switches.pooled_shape}")
     out = np.zeros(switches.input_shape, dtype=np.float64)
-    ch = np.arange(x.shape[0])[:, None, None]
-    out[ch, switches.rows, switches.cols] = x
+    out.reshape(-1)[switches.index] = x
     return out
 
 
@@ -312,8 +339,7 @@ def unpool2x2_backward(switches: PoolSwitches, grad_out: Tensor) -> Tensor:
     if grad_out.shape != switches.input_shape:
         raise ShapeError(
             f"unpool grad {grad_out.shape} does not match switches {switches.input_shape}")
-    ch = np.arange(grad_out.shape[0])[:, None, None]
-    return grad_out[ch, switches.rows, switches.cols]
+    return np.take(grad_out, switches.index)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
+from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
+from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.cli import main
+from paintnet.data.rng import Rng
 
 from conftest import write_dataset
 
@@ -44,6 +48,10 @@ CROSSVAL = {
     "fold_02.dpnt": "bec01d22a7339a82da449ccdc97cf0d90f870dd98c2e3ee8f6d0aecaf28f49b1",
     "crossval_report.csv": "6c35aa122cd6b67e1965ae795977fb26ba56d79ee1c38222571fffa56ae1dfc6",
 }
+
+# CNNModel.forward probabilities of a 16x24 classifier on a seeded battery:
+# the forward-only path evaluate runs, through pools of 16x24 and 8x12 maps
+FORWARD_16x24 = "1005dfad2348c6dd4c261f800caac04b1f9ba64d51d105f273f72d30e7387781"
 
 # stdout of `paintnet gradcheck --scale small`
 GRADCHECK_SMALL = "f05cda0d2ee96183e4e58805f8b1d98fbc2d500df5cd81f5b1106686277e14da"
@@ -107,3 +115,11 @@ def test_gradcheck_small_stdout():
     with contextlib.redirect_stdout(out):
         assert main(["gradcheck", "--scale", "small"]) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL
+
+
+def test_forward_probability_bytes_non_square_pools():
+    cae = build_cae(CAEConfig(input_size=(16, 24), conv_channels=(4, 6), kernel=3), seed=12)
+    model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=13)
+    rng = Rng(14)
+    probs = [model.forward(rng.uniform_array((3, 16, 24), 0.0, 1.0))[0] for _ in range(8)]
+    assert hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest() == FORWARD_16x24

@@ -3,7 +3,8 @@
 The oracles here are written as plain nested loops, independent of the
 implementation's flat shift-and-accumulate products, so agreement is
 meaningful.  The per-offset tensordot formulation those products
-replaced is kept here too, as the reference they match byte for byte.
+replaced is kept here too, as the reference they match byte for byte,
+and so is the argmax pooling that the window-plane tournament replaced.
 """
 
 import numpy as np
@@ -384,6 +385,62 @@ def test_unpool_backward_gathers():
         for i in range(2):
             for j in range(2):
                 assert g_in[c, i, j] == g_out[c, s.rows[c, i, j], s.cols[c, i, j]]
+
+
+def argmax_pool_reference(x):
+    """2x2 max-pool by argmax over a copied window axis: (pooled, rows, cols).
+
+    argmax takes the first maximum in row-major window order, and the
+    first NaN where a window holds one; the value is read back at that
+    index, so its sign bit and NaN payload are the input's.
+    """
+    c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = x.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
+    idx = win.argmax(axis=3)
+    pooled = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+    rows = 2 * np.arange(h2, dtype=np.int64)[None, :, None] + idx // 2
+    cols = 2 * np.arange(w2, dtype=np.int64)[None, None, :] + idx % 2
+    return pooled, rows, cols
+
+
+# NaNs with distinct payloads (quiet, either sign), so a pooled NaN shows
+# which window element it came from
+NANS = np.array([0x7FF8000000000000 + k for k in range(1, 5)]
+                + [0xFFF8000000000000 + k for k in range(1, 5)], dtype=np.uint64).view(np.float64)
+SPECIALS = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], NANS])
+
+
+def test_pool_bytes_match_argmax_reference():
+    gen = np.random.default_rng(909)
+    for case in range(1500):
+        c = int(gen.integers(1, 4))
+        h, w = 2 * gen.integers(1, 5, size=2)
+        if h == w:
+            w = 2 if h == 8 else w + 2
+        shape = (c, int(h), int(w))
+        draws = (gen.choice(SPECIALS, size=shape) if case % 3 else
+                 np.round(gen.normal(size=shape) * 2.0) / 2.0)
+        if case % 2:  # strided views reach pool and unpool backward from the conv layers
+            big = np.zeros((c, shape[1] + 1, shape[2] + 2))
+            big[:, 1:, 1:-1] = draws
+            x = big[:, 1:, 1:-1]
+        else:
+            x = draws
+        pooled, s = maxpool2x2_forward(x)
+        ref_pooled, ref_rows, ref_cols = argmax_pool_reference(x)
+        assert_same_bytes(pooled, ref_pooled)
+        assert_same_bytes(s.rows, ref_rows)
+        assert_same_bytes(s.cols, ref_cols)
+
+        chan = np.arange(c)[:, None, None]
+        ref_up = np.zeros(shape)
+        ref_up[chan, ref_rows, ref_cols] = pooled
+        assert_same_bytes(unpool2x2_forward(pooled, s), ref_up)
+        assert_same_bytes(maxpool2x2_backward(s, pooled), ref_up)
+        g = gen.choice(SPECIALS, size=shape)
+        g_view = g if case % 2 == 0 else g.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        assert_same_bytes(unpool2x2_backward(s, g_view), g[chan, ref_rows, ref_cols])
 
 
 # ---------------------------------------------------------------------------
