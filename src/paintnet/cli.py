@@ -23,7 +23,15 @@ from .config import RunConfig, config_from_dict, load_run_config
 from .data.image import decode_ppm, resample_bilinear, to_tensor
 from .data.manifest import DatasetManifest, kfold_split, load_manifest
 from .data.rng import Rng
-from .errors import CheckpointError, ConfigError, DataError, EngineError, NumericError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    EngineError,
+    ImageFormatError,
+    ImageUnsupportedError,
+    NumericError,
+)
 from .metrics import accuracy, crossval_aggregate, evaluate, report_csv
 from .persist import load_checkpoint, save_checkpoint
 from .tensor import Tensor
@@ -73,7 +81,11 @@ def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> Tensor:
         data = p.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read image {p}: {exc}") from exc
-    return to_tensor(resample_bilinear(decode_ppm(data), size))
+    try:
+        img = decode_ppm(data)
+    except (ImageFormatError, ImageUnsupportedError) as exc:
+        raise type(exc)(f"{p}: {exc}") from exc
+    return to_tensor(resample_bilinear(img, size))
 
 
 def _load_samples(manifest: DatasetManifest, root: str,

@@ -3,6 +3,10 @@
 PPM (P6, maxval 255) is the only accepted format: it is bit-exact and
 trivial to decode, so golden tests stay byte-stable.  Other formats are
 expected to be converted beforehand.
+
+Decoding copies no pixel byte, and resampling reads only the source
+pixels it samples, so ingestion costs in proportion to the pixels the
+model keeps, not to the pixels the file holds.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ def decode_ppm(data: bytes) -> ImageRGB:
 
     Only the P6 variant with maxval 255 is handled.  A different magic or
     short payload is a format error; any other maxval is unsupported.
+    Bytes after the payload are ignored.  The pixels are a read-only view
+    of data's payload bytes, not a copy.
     """
     magic, pos = _header_token(data, 0)
     if magic != b"P6":
@@ -71,11 +77,11 @@ def decode_ppm(data: bytes) -> ImageRGB:
         raise ImageFormatError("missing separator before pixel payload")
     start = pos + 1
     need = width * height * 3
-    payload = data[start:start + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"payload truncated: need {need} bytes, have {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
-    return ImageRGB(width=width, height=height, pixels=pixels)
+    have = len(data) - start
+    if have < need:
+        raise ImageFormatError(f"payload truncated: need {need} bytes, have {have}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=start)
+    return ImageRGB(width=width, height=height, pixels=pixels.reshape(height, width, 3))
 
 
 def resample_bilinear(img: ImageRGB, target: tuple[int, int]) -> ImageRGB:
@@ -84,14 +90,17 @@ def resample_bilinear(img: ImageRGB, target: tuple[int, int]) -> ImageRGB:
     Target pixel (i, j) samples source coordinate
     ((i + 0.5) * src/dst - 0.5) per axis; edges clamp.  Results round
     half up to the nearest byte, so output values never leave the source
-    range.
+    range.  Only the 2*th source rows and 2*tw columns the samples read
+    are gathered and converted to float, so time and memory scale with
+    the target, not the source.  At the source size img comes back as
+    it is, sharing its pixels.
     """
     th, tw = target
     if th < 1 or tw < 1:
         raise ArgumentError(f"target size must be >= 1x1, got {th}x{tw}")
     sh, sw = img.height, img.width
     if (th, tw) == (sh, sw):
-        return ImageRGB(width=tw, height=th, pixels=img.pixels.copy())
+        return img
 
     ys = (np.arange(th, dtype=np.float64) + 0.5) * (sh / th) - 0.5
     xs = (np.arange(tw, dtype=np.float64) + 0.5) * (sw / tw) - 0.5
@@ -99,15 +108,19 @@ def resample_bilinear(img: ImageRGB, target: tuple[int, int]) -> ImageRGB:
     x0 = np.clip(np.floor(xs), 0, sw - 1).astype(np.intp)
     y1 = np.minimum(y0 + 1, sh - 1)
     x1 = np.minimum(x0 + 1, sw - 1)
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    # one weight per channel byte of a row-flat (rows, 3*tw) plane
+    fx = np.repeat(np.clip(xs - x0, 0.0, 1.0), 3)
 
-    src = img.pixels.astype(np.float64)
-    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
+    # rows y0 then y1, each holding the x0 pixels then the x1 pixels
+    rows = img.pixels.take(np.concatenate((y0, y1)), axis=0)
+    src = rows.take(np.concatenate((x0, x1)), axis=1).astype(np.float64)
+    src = src.reshape(2, th, 2, 3 * tw)
+    top = src[0, :, 0] * (1.0 - fx) + src[0, :, 1] * fx
+    bot = src[1, :, 0] * (1.0 - fx) + src[1, :, 1] * fx
     value = top * (1.0 - fy) + bot * fy
     out = np.clip(np.floor(value + 0.5), 0, 255).astype(np.uint8)
-    return ImageRGB(width=tw, height=th, pixels=out)
+    return ImageRGB(width=tw, height=th, pixels=out.reshape(th, tw, 3))
 
 
 def to_tensor(img: ImageRGB) -> Tensor:

@@ -127,6 +127,17 @@ def test_pretrain_missing_image_exits_3(tmp_path):
     assert "ghost.ppm" in err
 
 
+def test_pretrain_truncated_image_exits_3_naming_it(tmp_path):
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=1)
+    bad = tmp_path / "data" / "beta" / "001.ppm"
+    bad.write_bytes(b"P6 4 4 255\n" + bytes(2))
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest))
+    code, _, err = run_cli("pretrain", "--config", str(cfg))
+    assert code == 3
+    assert str(bad) in err
+    assert "payload truncated: need 48 bytes, have 2" in err
+
+
 def test_pretrain_writes_artifacts(tmp_path):
     manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=1)
     cfg = write_config(tmp_path, pretrain_manifest=str(manifest))

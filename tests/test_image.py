@@ -1,4 +1,10 @@
-"""PPM decoding, bilinear resampling, tensor conversion."""
+"""PPM decoding, bilinear resampling, tensor conversion.
+
+The whole-image float64 resampling that the gathered-block resampler
+replaced is kept here as the reference it matches byte for byte.
+"""
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -152,6 +158,17 @@ def test_roundtrip_random_images():
         npt.assert_array_equal(back.pixels, img.pixels)
 
 
+@pytest.mark.parametrize("trailing", [b"", b"\nP6 9 9 255\n" + bytes(7)], ids=["exact", "trailing"])
+def test_decode_pixels_are_a_read_only_view_of_the_payload(trailing):
+    payload = bytes(range(100, 130))
+    img = decode_ppm(b"P6\n5 2\n255\n" + payload + trailing)
+    assert (img.width, img.height) == (5, 2)
+    assert img.pixels.tobytes() == payload
+    assert not img.pixels.flags.owndata
+    with pytest.raises(ValueError):
+        img.pixels[0, 0, 0] = 0
+
+
 # ---------------------------------------------------------------------------
 # resampling
 # ---------------------------------------------------------------------------
@@ -161,6 +178,7 @@ def test_resample_identity():
     img = random_image(rng, 5, 4)
     out = resample_bilinear(img, (4, 5))
     npt.assert_array_equal(out.pixels, img.pixels)
+    assert np.shares_memory(out.pixels, img.pixels)
 
 
 def test_resample_constant_stays_constant():
@@ -214,6 +232,57 @@ def test_resample_deterministic():
     a = resample_bilinear(img, (11, 6))
     b = resample_bilinear(img, (11, 6))
     npt.assert_array_equal(a.pixels, b.pixels)
+
+
+def reference_resample(img: ImageRGB, target: tuple[int, int]) -> np.ndarray:
+    """Bilinear resampling over the whole source converted to float64 first."""
+    th, tw = target
+    sh, sw = img.height, img.width
+    if (th, tw) == (sh, sw):
+        return img.pixels.copy()
+    ys = (np.arange(th, dtype=np.float64) + 0.5) * (sh / th) - 0.5
+    xs = (np.arange(tw, dtype=np.float64) + 0.5) * (sw / tw) - 0.5
+    y0 = np.clip(np.floor(ys), 0, sh - 1).astype(np.intp)
+    x0 = np.clip(np.floor(xs), 0, sw - 1).astype(np.intp)
+    y1 = np.minimum(y0 + 1, sh - 1)
+    x1 = np.minimum(x0 + 1, sw - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    src = img.pixels.astype(np.float64)
+    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
+    value = top * (1.0 - fy) + bot * fy
+    return np.clip(np.floor(value + 0.5), 0, 255).astype(np.uint8)
+
+
+# (source height, width, target height, width): the bench's 512 -> 64,
+# 1-pixel sides, non-square, and up- and downscales by non-integer ratios
+_RESAMPLE_SHAPES = [(512, 512, 64, 64), (1, 1, 5, 3), (1, 9, 4, 2), (9, 1, 1, 1),
+                    (7, 5, 300, 200), (300, 517, 64, 128), (17, 5, 5, 17)]
+
+
+def test_resample_bytes_match_whole_image_reference():
+    gen = np.random.default_rng(1010)
+    shapes = _RESAMPLE_SHAPES + [tuple(int(v) for v in gen.integers(1, 40, size=4))
+                                 for _ in range(600)]
+    for sh, sw, th, tw in shapes:
+        img = random_image(gen, sw, sh)
+        out = resample_bilinear(img, (th, tw))
+        assert (out.height, out.width) == (th, tw)
+        assert out.pixels.tobytes() == reference_resample(img, (th, tw)).tobytes()
+
+
+def test_resample_memory_scales_with_the_target():
+    # a 12-megapixel photo to 256x256; converting the whole source to
+    # float64 first, as the reference does, peaks at 302.6 MiB
+    img = ImageRGB(width=4000, height=3000, pixels=np.zeros((3000, 4000, 3), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        resample_bilinear(img, (256, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
