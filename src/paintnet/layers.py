@@ -18,8 +18,13 @@ offset copies a window.  Every output element is the same dot product
 over input channels, summed in the same offset order, as a product per
 copied window gives, so the bits match too, except where the BLAS
 rounds the last few columns of a product in an edge kernel and only one
-layout puts that element there.  The kernel gradient still takes one
-product per offset on a window of the padded input.
+layout puts that element there.  The forward sums its columns in blocks
+that keep the accumulator in cache across the k*k offsets, but only
+where that moves no column out of or into an edge kernel: where the
+column count is a multiple of 8.  The kernel gradient transposes the
+padded input once, channels last, and takes one product per offset on a
+reused copy of its window, the operand tensordot would build; at k = 1
+it keeps tensordot's uncopied view, which rounds differently.
 
 Each layer has one constructor, (weights, bias, activation name), and
 keeps the arrays it is given; ACTIVATIONS maps each name to its function
@@ -48,13 +53,10 @@ PROB_FLOOR = 1e-12
 
 
 def _sigmoid(z: Tensor) -> Tensor:
-    # split by sign so exp() never overflows
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows: 1/(1 + e) for z >= 0, e/(1 + e) below.
+    # min(z, -z) rather than -abs(z) keeps a NaN's sign bit.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_derivative(z: Tensor) -> Tensor:
@@ -87,6 +89,11 @@ def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
 # cross-correlation primitives shared by conv and deconv
 # ---------------------------------------------------------------------------
 
+# bytes of the accumulator and product buffers one column block of _corr2d
+# may take together: half of a 2 MiB per-core L2
+BLOCK_BYTES = 1 << 20
+
+
 def _corr2d(x: Tensor, weights: Tensor) -> tuple[Tensor, Tensor]:
     """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, padded x).
 
@@ -95,30 +102,74 @@ def _corr2d(x: Tensor, weights: Tensor) -> tuple[Tensor, Tensor]:
     u*wp + v, and each offset is one matrix product with no copy.  Every
     output row then runs wp - w wrap columns past the image, which are
     dropped.  The padded x returned is a view of the buffer.
+
+    The h*wp output columns are summed in blocks whose width is a
+    multiple of 64, sized so that one contiguous accumulator and one
+    product buffer fit BLOCK_BYTES; all k*k offsets of a block reuse
+    those two buffers, so the sums stay in cache across offsets.  The
+    offset order, and so every sum, is the unblocked one.  The BLAS
+    rounds the last h*wp mod 8 columns of a product in an edge kernel,
+    and a block would move those columns to another place, so blocks
+    are used only where h*wp is a multiple of 8; elsewhere, and where
+    one block covers every column, a single block sums straight into
+    the output.
     """
     c, h, w = x.shape
-    k = weights.shape[2]
+    o, k = weights.shape[0], weights.shape[2]
     pad = k // 2
     hp, wp = h + 2 * pad, w + 2 * pad
+    n = h * wp
     flat = np.zeros((c, hp * wp + k - 1), dtype=np.float64)
     xp = flat[:, :hp * wp].reshape(c, hp, wp)
     xp[:, pad:pad + h, pad:pad + w] = x
     # (k, k, out, in): a C-contiguous block per offset, which matmul hands to BLAS
     wk = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
-    out = np.zeros((weights.shape[0], h * wp), dtype=np.float64)
-    for u in range(k):
-        for v in range(k):
-            s = u * wp + v
-            out += wk[u, v] @ flat[:, s:s + h * wp]
-    return out.reshape(-1, h, wp)[:, :, :w], xp
+    block = max(64, BLOCK_BYTES // (16 * o) // 64 * 64)
+    if block >= n or n % 8:
+        block = n
+    out = np.empty((o, n), dtype=np.float64)
+    # one block sums in out itself; several sum in a contiguous accumulator,
+    # since summing in strided column blocks of out measured no faster than one block
+    acc_buf = out.reshape(-1) if block == n else np.empty(o * block, dtype=np.float64)
+    prod_buf = np.empty(o * block, dtype=np.float64)
+    for b0 in range(0, n, block):
+        b = min(block, n - b0)
+        acc = acc_buf[:o * b].reshape(o, b)
+        prod = prod_buf[:o * b].reshape(o, b)
+        acc[...] = 0.0
+        for u in range(k):
+            for v in range(k):
+                s = b0 + u * wp + v
+                np.matmul(wk[u, v], flat[:, s:s + b], out=prod)
+                acc += prod
+        if block < n:
+            out[:, b0:b0 + b] = acc
+    return out.reshape(o, h, wp)[:, :, :w], xp
 
 
 def _corr2d_weight_grad(xp: Tensor, gz: Tensor, k: int) -> Tensor:
-    h, w = gz.shape[1], gz.shape[2]
-    gw = np.empty((gz.shape[0], xp.shape[0], k, k), dtype=np.float64)
+    """Gradient of _corr2d's map with respect to its kernel, for map gradient gz.
+
+    Each offset (u, v) is one product of gz, as (o, h*w), with the
+    window of the padded input at (u, v), as (h*w, c).  The padded
+    input is transposed once to (hp, wp, c), and each window is copied
+    into one reused (h, w, c) buffer: the C-ordered operand tensordot
+    would copy it into.  At k = 1 the window is all of xp, which
+    tensordot passes to the BLAS as a transposed view with no copy; a
+    C-ordered copy rounds differently, so that case stays tensordot's.
+    """
+    o, h, w = gz.shape
+    c = xp.shape[0]
+    if k == 1:
+        return np.tensordot(gz, xp, axes=([1, 2], [1, 2]))[:, :, None, None]
+    gw = np.empty((o, c, k, k), dtype=np.float64)
+    g2 = gz.reshape(o, h * w)
+    xt = np.ascontiguousarray(xp.transpose(1, 2, 0))
+    window = np.empty((h, w, c), dtype=np.float64)
     for u in range(k):
         for v in range(k):
-            gw[:, :, u, v] = np.tensordot(gz, xp[:, u:u + h, v:v + w], axes=([1, 2], [1, 2]))
+            window[...] = xt[u:u + h, v:v + w]
+            gw[:, :, u, v] = np.dot(g2, window.reshape(h * w, c))
     return gw
 
 
@@ -263,14 +314,6 @@ class PoolSwitches:
     @property
     def pooled_shape(self) -> tuple[int, int, int]:
         return self.index.shape
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.index // self.input_shape[2] % self.input_shape[1]
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.index % self.input_shape[2]
 
 
 def _wins(b: Tensor, a: Tensor, nan: bool) -> np.ndarray:

@@ -106,18 +106,20 @@ def test_03_pool_unpool_laws():
         x = rng.uniform_array((c, h, w), 0.05, 1.0)
         p, s = maxpool2x2_forward(x)
         up = unpool2x2_forward(p, s)
+        _, rows, cols = np.unravel_index(s.index, s.input_shape)
         # roundtrip: pooled values at switch positions, zero elsewhere
         for ch in range(c):
-            npt.assert_array_equal(up[ch, s.rows[ch], s.cols[ch]], p[ch])
+            npt.assert_array_equal(up[ch, rows[ch], cols[ch]], p[ch])
         rest = up.copy()
         for ch in range(c):
-            rest[ch, s.rows[ch], s.cols[ch]] = 0.0
+            rest[ch, rows[ch], cols[ch]] = 0.0
         assert not rest.any()
         # re-pool: identical maxima and switch locations
         p2, s2 = maxpool2x2_forward(up)
         npt.assert_array_equal(p2, p)
-        npt.assert_array_equal(s2.rows, s.rows)
-        npt.assert_array_equal(s2.cols, s.cols)
+        _, rows2, cols2 = np.unravel_index(s2.index, s2.input_shape)
+        npt.assert_array_equal(rows2, rows)
+        npt.assert_array_equal(cols2, cols)
     elapsed = time.perf_counter() - t0
     report("pool/unpool roundtrip and re-pool exact over 1000 instances",
            elapsed < 5.0, f"{elapsed:.2f}s")

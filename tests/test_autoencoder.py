@@ -346,10 +346,9 @@ def test_extract_matches_cae_front_half():
     feats, _ = enc.forward(x)
     _, caches = model.forward(x)
     # the CAE's second pooling output is what the encoder stack should produce
-    pooled = np.zeros_like(feats)
-    chan = np.arange(pooled.shape[0])[:, None, None]
+    switches = caches["pool2"]
     a2 = ACTIVATIONS[model.layer("enc2").activation][0](caches["enc2"][1])
-    npt.assert_array_equal(feats, a2[chan, caches["pool2"].rows, caches["pool2"].cols])
+    npt.assert_array_equal(feats, a2[np.unravel_index(switches.index, switches.input_shape)])
 
 
 def test_extract_copies_weights():

@@ -4,14 +4,19 @@ The oracles here are written as plain nested loops, independent of the
 implementation's flat shift-and-accumulate products, so agreement is
 meaningful.  The per-offset tensordot formulation those products
 replaced is kept here too, as the reference they match byte for byte,
-and so is the argmax pooling that the window-plane tournament replaced.
+and so are the unblocked correlation and tensordot kernel gradient that
+the cache-blocked forms replaced, the split-by-sign sigmoid, and the
+argmax pooling that the window-plane tournament replaced.
 """
+
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paintnet import layers
 from paintnet.data.rng import Rng
 from paintnet.errors import ArgumentError, ShapeError
 from paintnet.layers import (
@@ -98,6 +103,33 @@ def test_sigmoid_stable_at_extremes():
     assert 0.0 <= s[0] < 1e-10
     assert 1.0 - 1e-10 < s[1] <= 1.0
     assert np.all(np.isfinite(s))
+
+
+# NaNs with distinct payloads (quiet, either sign), so a pooled NaN shows
+# which window element it came from, and an activation's NaN whether it
+# kept its sign and payload
+NANS = np.array([0x7FF8000000000000 + k for k in range(1, 5)]
+                + [0xFFF8000000000000 + k for k in range(1, 5)], dtype=np.uint64).view(np.float64)
+SPECIALS = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], NANS])
+
+
+def split_sigmoid(z):
+    """The sigmoid split by sign with masked gathers, as it was before."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bytes_match_split_by_sign():
+    z = np.concatenate([SPECIALS, [1e-320, -1e-320, 36.7, -36.7, 745.0, -745.0, 1e308, -1e308],
+                        np.random.default_rng(12).normal(scale=20.0, size=200)])
+    sigmoid, derivative = ACTIVATIONS["sigmoid"]
+    ref = split_sigmoid(z)
+    assert_same_bytes(sigmoid(z), ref)
+    assert_same_bytes(derivative(z), ref * (1.0 - ref))
 
 
 def test_activation_derivatives_match_finite_differences():
@@ -275,6 +307,69 @@ def test_correlation_bytes_match_per_offset_tensordot(shape, tied):
         assert_same_bytes(no_gx_grads[key], grads[key])
 
 
+def unblocked_corr2d(x, weights):
+    """_corr2d before column blocks: every offset's product adds straight into the map."""
+    c, h, w = x.shape
+    k = weights.shape[2]
+    pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((c, hp * wp + k - 1), dtype=np.float64)
+    xp = flat[:, :hp * wp].reshape(c, hp, wp)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    # (k, k, out, in): a C-contiguous block per offset, which matmul hands to BLAS
+    wk = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+    out = np.zeros((weights.shape[0], h * wp), dtype=np.float64)
+    for u in range(k):
+        for v in range(k):
+            s = u * wp + v
+            out += wk[u, v] @ flat[:, s:s + h * wp]
+    return out.reshape(-1, h, wp)[:, :, :w], xp
+
+
+def tensordot_weight_grad(xp, gz, k):
+    """_corr2d_weight_grad before the transposed copy: one tensordot per offset."""
+    h, w = gz.shape[1], gz.shape[2]
+    gw = np.empty((gz.shape[0], xp.shape[0], k, k), dtype=np.float64)
+    for u in range(k):
+        for v in range(k):
+            gw[:, :, u, v] = np.tensordot(gz, xp[:, u:u + h, v:v + w], axes=([1, 2], [1, 2]))
+    return gw
+
+
+def test_correlation_bytes_match_unblocked_reference():
+    # column blocks and the reused window buffer against the code they
+    # replaced: k 1 to 7, up to 96 output channels, h*wp a multiple of 8
+    # (blocked) and not (one block), signed zeros in x and gz
+    gen = np.random.default_rng(1111)
+    several_blocks = 0
+    for case in range(240):
+        k = (1, 3, 5, 7)[case % 4]
+        if case % 3:
+            out_c, in_c = int(gen.integers(1, 97)), int(gen.integers(1, 25))
+            h, w = (int(e) for e in gen.integers(1, 41, size=2))
+        else:  # wide maps at many output channels: several blocks
+            out_c, in_c = int(gen.integers(48, 97)), int(gen.integers(1, 9))
+            h, w = (int(e) for e in gen.integers(24, 49, size=2))
+        wp = w + k - 1
+        if case % 2:
+            h += -h % (8 // math.gcd(wp, 8))  # the next h with h*wp a multiple of 8
+        if h * wp % 8 == 0 and 16 * out_c * h * wp > layers.BLOCK_BYTES:
+            several_blocks += 1
+        x = gen.normal(size=(in_c, h, w))
+        x[gen.random(x.shape) < 0.2] = -0.0
+        x[gen.random(x.shape) < 0.1] = 0.0
+        weights = gen.normal(size=(out_c, in_c, k, k))
+        gz = gen.normal(size=(out_c, h, w))
+        gz[gen.random(gz.shape) < 0.2] = -0.0
+
+        out, xp = layers._corr2d(x, weights)
+        ref_out, ref_xp = unblocked_corr2d(x, weights)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(xp, ref_xp)
+        assert_same_bytes(layers._corr2d_weight_grad(xp, gz, k), tensordot_weight_grad(ref_xp, gz, k))
+    assert several_blocks >= 40
+
+
 # ---------------------------------------------------------------------------
 # pooling / unpooling
 # ---------------------------------------------------------------------------
@@ -282,16 +377,16 @@ def test_correlation_bytes_match_per_offset_tensordot(shape, tied):
 def test_pool_single_window():
     y, s = maxpool2x2_forward(np.array([[[1.0, 3.0], [2.0, 0.0]]]))
     npt.assert_array_equal(y, [[[3.0]]])
-    assert (s.rows[0, 0, 0], s.cols[0, 0, 0]) == (0, 1)
+    assert np.unravel_index(s.index[0, 0, 0], s.input_shape)[1:] == (0, 1)
 
 
 def test_pool_tie_first_in_row_major_order():
     y, s = maxpool2x2_forward(np.array([[[5.0, 5.0], [0.0, 0.0]]]))
     npt.assert_array_equal(y, [[[5.0]]])
-    assert (s.rows[0, 0, 0], s.cols[0, 0, 0]) == (0, 0)
+    assert np.unravel_index(s.index[0, 0, 0], s.input_shape)[1:] == (0, 0)
     # all-equal window also picks the top-left corner
     _, s2 = maxpool2x2_forward(np.full((1, 2, 2), 7.0))
-    assert (s2.rows[0, 0, 0], s2.cols[0, 0, 0]) == (0, 0)
+    assert np.unravel_index(s2.index[0, 0, 0], s2.input_shape)[1:] == (0, 0)
 
 
 def test_pool_matches_bruteforce():
@@ -299,11 +394,12 @@ def test_pool_matches_bruteforce():
     for _ in range(50):
         x = rng.uniform_array((1, 4, 4), -1.0, 1.0)
         y, s = maxpool2x2_forward(x)
+        _, rows, cols = np.unravel_index(s.index, s.input_shape)
         for i in range(2):
             for j in range(2):
                 window = x[0, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
                 assert y[0, i, j] == window.max()
-                r, c = int(s.rows[0, i, j]), int(s.cols[0, i, j])
+                r, c = int(rows[0, i, j]), int(cols[0, i, j])
                 assert x[0, r, c] == window.max()
                 assert 2 * i <= r < 2 * i + 2 and 2 * j <= c < 2 * j + 2
 
@@ -343,10 +439,10 @@ def test_pool_unpool_roundtrip_exact():
         x = rng.uniform_array((c, h, w), 0.05, 1.0)
         p, s = maxpool2x2_forward(x)
         up = unpool2x2_forward(p, s)
-        chan = np.arange(c)[:, None, None]
-        npt.assert_array_equal(up[chan, s.rows, s.cols], p)
+        chan, rows, cols = np.unravel_index(s.index, s.input_shape)
+        npt.assert_array_equal(up[chan, rows, cols], p)
         rest = up.copy()
-        rest[chan, s.rows, s.cols] = 0.0
+        rest[chan, rows, cols] = 0.0
         assert not rest.any()  # zero everywhere off the switch positions
 
 
@@ -363,8 +459,10 @@ def test_repool_identity_exact():
         up = unpool2x2_forward(v, s)
         v2, s2 = maxpool2x2_forward(up)
         npt.assert_array_equal(v2, v)
-        npt.assert_array_equal(s2.rows, s.rows)
-        npt.assert_array_equal(s2.cols, s.cols)
+        _, rows, cols = np.unravel_index(s.index, s.input_shape)
+        _, rows2, cols2 = np.unravel_index(s2.index, s2.input_shape)
+        npt.assert_array_equal(rows2, rows)
+        npt.assert_array_equal(cols2, cols)
 
 
 def test_pool_backward_equals_unpool_of_gradient():
@@ -381,10 +479,11 @@ def test_unpool_backward_gathers():
     _, s = maxpool2x2_forward(x)
     g_out = rng.uniform_array((2, 4, 4), -1.0, 1.0)
     g_in = unpool2x2_backward(s, g_out)
+    _, rows, cols = np.unravel_index(s.index, s.input_shape)
     for c in range(2):
         for i in range(2):
             for j in range(2):
-                assert g_in[c, i, j] == g_out[c, s.rows[c, i, j], s.cols[c, i, j]]
+                assert g_in[c, i, j] == g_out[c, rows[c, i, j], cols[c, i, j]]
 
 
 def argmax_pool_reference(x):
@@ -402,13 +501,6 @@ def argmax_pool_reference(x):
     rows = 2 * np.arange(h2, dtype=np.int64)[None, :, None] + idx // 2
     cols = 2 * np.arange(w2, dtype=np.int64)[None, None, :] + idx % 2
     return pooled, rows, cols
-
-
-# NaNs with distinct payloads (quiet, either sign), so a pooled NaN shows
-# which window element it came from
-NANS = np.array([0x7FF8000000000000 + k for k in range(1, 5)]
-                + [0xFFF8000000000000 + k for k in range(1, 5)], dtype=np.uint64).view(np.float64)
-SPECIALS = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], NANS])
 
 
 def test_pool_bytes_match_argmax_reference():
@@ -430,8 +522,9 @@ def test_pool_bytes_match_argmax_reference():
         pooled, s = maxpool2x2_forward(x)
         ref_pooled, ref_rows, ref_cols = argmax_pool_reference(x)
         assert_same_bytes(pooled, ref_pooled)
-        assert_same_bytes(s.rows, ref_rows)
-        assert_same_bytes(s.cols, ref_cols)
+        _, rows, cols = np.unravel_index(s.index, s.input_shape)
+        assert_same_bytes(rows, ref_rows)
+        assert_same_bytes(cols, ref_cols)
 
         chan = np.arange(c)[:, None, None]
         ref_up = np.zeros(shape)
