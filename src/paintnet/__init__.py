@@ -3,8 +3,8 @@
 Pipeline: pretrain an autoencoder on unlabeled images, extract its
 convolutional encoder, attach a fully connected softmax head, fine-tune
 on labeled images, evaluate with stratified cross-validation.  All
-numerics are implemented directly on arrays and are deterministic given
-a seed.
+numerics are implemented directly on float64 numpy arrays, images as
+(channels, height, width), and are deterministic given a seed.
 """
 
 from .autoencoder import CAEConfig, CAEModel, build_cae, corrupt, encoder_extract, pretrain

@@ -31,7 +31,6 @@ from .layers import (
     unpool2x2_forward,
 )
 from .optim import SGDConfig, lr_at_epoch, sgd_step
-from .tensor import Tensor, frobenius_sq_dist
 
 # substream tags keeping init, corruption, and shuffle draws independent
 _INIT_STREAM = 0x11
@@ -113,19 +112,19 @@ class Stage:
 
 # tensor(name, shape) -> array: where a stage builder gets its parameters;
 # seeded and stored are the two sources
-TensorSource = Callable[[str, tuple[int, ...]], Tensor]
+TensorSource = Callable[[str, tuple[int, ...]], np.ndarray]
 
 
 def seeded(rng: Rng) -> TensorSource:
     """Fresh parameters: kernels drawn from rng in request order, biases zero."""
-    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         return np.zeros(shape) if name.endswith(".b") else init_weights(shape, rng)
     return tensor
 
 
-def stored(tensors: dict[str, Tensor]) -> TensorSource:
+def stored(tensors: dict[str, np.ndarray]) -> TensorSource:
     """Parameters read by name from tensors: a checkpoint's records, or a model's own."""
-    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
         if tensors[name].shape != shape:
@@ -174,7 +173,7 @@ def cae_stages(config: CAEConfig, tensor: TensorSource) -> list[Stage]:
     ]
 
 
-def stage_parameters(stages: list[Stage]) -> dict[str, Tensor]:
+def stage_parameters(stages: list[Stage]) -> dict[str, np.ndarray]:
     """<stage>.W and <stage>.b of every stage that owns them, in stage order.
 
     A tied deconv owns only its bias; its kernel is the conv's.
@@ -206,10 +205,10 @@ class StageStack:
         """The layer of the stage called name."""
         return {st.name: st.layer for st in self.stages}[name]
 
-    def named_parameters(self) -> dict[str, Tensor]:
+    def named_parameters(self) -> dict[str, np.ndarray]:
         return stage_parameters(self.stages[self.trained_from:])
 
-    def forward(self, x: Tensor):
+    def forward(self, x: np.ndarray):
         """Run every stage; returns (output, caches keyed by stage name)."""
         if x.shape != self.input_shape:
             raise ShapeError(f"model input must be {self.input_shape}, got {x.shape}")
@@ -226,14 +225,14 @@ class StageStack:
                 x, caches[st.name] = st.layer.forward(x)
         return x, caches
 
-    def backward(self, caches, grad_out: Tensor) -> dict[str, Tensor]:
+    def backward(self, caches, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of every trained parameter for an output gradient.
 
         A tied deconv's kernel gradient, mapped by transpose_flip into its
         conv's layout, is added onto that conv's.  The first trained
         stage computes no input gradient, since nothing reads it.
         """
-        grads: dict[str, Tensor] = {}
+        grads: dict[str, np.ndarray] = {}
         g = grad_out
         trained = self.stages[self.trained_from:]
         for st in reversed(trained):
@@ -253,10 +252,10 @@ class StageStack:
                     grads[name] = grads[name] + grad if name in grads else grad
         return grads
 
-    def loss_value(self, x: Tensor, target) -> float:
+    def loss_value(self, x: np.ndarray, target) -> float:
         return self.loss(self.forward(x)[0], target)[0]
 
-    def loss_and_param_grads(self, x: Tensor, target):
+    def loss_and_param_grads(self, x: np.ndarray, target):
         """(loss, output, gradients of every trained parameter) for one sample."""
         output, caches = self.forward(x)
         value, grad_out = self.loss(output, target)
@@ -270,7 +269,7 @@ class CAEModel(StageStack):
         super().__init__((config.input_channels, *config.input_size), stages)
         self.config = config
 
-    def loss(self, recon: Tensor, clean: Tensor) -> tuple[float, Tensor]:
+    def loss(self, recon: np.ndarray, clean: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean squared reconstruction error and its gradient."""
         return reconstruction_loss(recon, clean), 2.0 * (recon - clean) / recon.size
 
@@ -285,8 +284,8 @@ def build_cae(config: CAEConfig, seed: int) -> CAEModel:
     return CAEModel(config, cae_stages(config, seeded(Rng.stream(seed, _INIT_STREAM))))
 
 
-def corrupt(image: Tensor, fraction: float,
-            rng: Rng) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+def corrupt(image: np.ndarray, fraction: float,
+            rng: Rng) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Zero a random pixel subset across all channels; the original is untouched.
 
     Exactly round(fraction * H * W) distinct pixel locations are chosen
@@ -308,19 +307,20 @@ def corrupt(image: Tensor, fraction: float,
     return out, (rows, cols)
 
 
-def reconstruction_loss(reconstruction: Tensor, clean_original: Tensor) -> float:
+def reconstruction_loss(reconstruction: np.ndarray, clean_original: np.ndarray) -> float:
     """Per-element mean squared error against the clean image."""
     if reconstruction.shape != clean_original.shape:
         raise ShapeError(
             f"loss shape mismatch: {reconstruction.shape} vs {clean_original.shape}")
-    return frobenius_sq_dist(reconstruction, clean_original) / reconstruction.size
+    d = reconstruction - clean_original
+    return float(np.dot(d.reshape(-1), d.reshape(-1))) / reconstruction.size
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
-def train(phase: str, params: dict[str, Tensor], count: int, sample, opt: SGDConfig,
+def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SGDConfig,
           epochs: int, seed: int, threads: int = 1) -> list[tuple[int, float, list]]:
     """Minibatch SGD over count samples; returns (epoch, lr, per-sample stats) rows.
 
@@ -375,7 +375,7 @@ def train(phase: str, params: dict[str, Tensor], count: int, sample, opt: SGDCon
     return rows
 
 
-def pretrain(model: CAEModel, images: list[Tensor], opt: SGDConfig, epochs: int,
+def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: int,
              seed: int, threads: int = 1) -> tuple[CAEModel, list[tuple[int, float, float]]]:
     """Denoising minibatch SGD on reconstruction loss.
 

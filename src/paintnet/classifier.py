@@ -26,7 +26,6 @@ from .optim import SGDConfig
 # but perfbench/child.py patches these two names on this module
 from .layers import maxpool2x2_backward  # noqa: F401
 from .optim import sgd_step  # noqa: F401
-from .tensor import Tensor
 
 _HEAD_INIT_STREAM = 0x1D
 
@@ -60,12 +59,12 @@ class CNNModel(StageStack):
         super().__init__(input_shape, stages, head if config.freeze_encoder else 0)
         self.config = config
 
-    def forward(self, x: Tensor):
+    def forward(self, x: np.ndarray):
         """Class probabilities for one image; returns (probs, caches)."""
         logits, caches = super().forward(x)
         return softmax(logits), caches
 
-    def loss(self, probs: Tensor, target: int) -> tuple[float, Tensor]:
+    def loss(self, probs: np.ndarray, target: int) -> tuple[float, np.ndarray]:
         """Cross-entropy and its gradient at the logits; fuses softmax with the loss."""
         return cross_entropy(probs, target), softmax_xent_grad(probs, target)
 
@@ -92,12 +91,12 @@ def build_cnn(encoder: EncoderStack, config: CNNConfig, seed: int) -> CNNModel:
     return assemble_cnn(encoder, config, seeded(Rng.stream(seed, _HEAD_INIT_STREAM)))
 
 
-def predict(model: CNNModel, x: Tensor) -> int:
+def predict(model: CNNModel, x: np.ndarray) -> int:
     """Argmax class index; ties go to the lowest index."""
     return int(np.argmax(model.forward(x)[0]))
 
 
-def finetune(model: CNNModel, samples: list[tuple[Tensor, int]], opt: SGDConfig,
+def finetune(model: CNNModel, samples: list[tuple[np.ndarray, int]], opt: SGDConfig,
              epochs: int, seed: int) -> tuple[CNNModel, list[tuple[int, float, float, float]]]:
     """Minibatch SGD on cross-entropy, on one worker.
 

@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .autoencoder import CAEModel, build_cae, encoder_extract, pretrain, shape_chain
 from .checks import run_gradcheck
 from .classifier import finetune
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .metrics import accuracy, crossval_aggregate, evaluate, report_csv
 from .persist import load_checkpoint, save_checkpoint
-from .tensor import Tensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,7 +76,7 @@ def _prologue(args) -> RunConfig:
     return config
 
 
-def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> Tensor:
+def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> np.ndarray:
     p = Path(root, rel_path)
     try:
         data = p.read_bytes()
@@ -89,7 +90,7 @@ def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> Tensor:
 
 
 def _load_samples(manifest: DatasetManifest, root: str,
-                  size: tuple[int, int]) -> list[tuple[Tensor, int]]:
+                  size: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
     """Every manifest image, read from root and resampled to size, with its class index."""
     return [(_read_image(root, e.path, size), e.class_index) for e in manifest.entries]
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ArgumentError, ImageFormatError, ImageUnsupportedError, ShapeError
-from ..tensor import Tensor
 
 _WHITESPACE = b" \t\r\n\v\f"
 # a header token after any run of whitespace and '#' comments, which run to end of line
@@ -123,6 +122,6 @@ def resample_bilinear(img: ImageRGB, target: tuple[int, int]) -> ImageRGB:
     return ImageRGB(width=tw, height=th, pixels=out.reshape(th, tw, 3))
 
 
-def to_tensor(img: ImageRGB) -> Tensor:
+def to_tensor(img: ImageRGB) -> np.ndarray:
     """Channel-planar (3, H, W) array of byte/255 values in [0, 1]."""
     return img.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0

@@ -11,17 +11,18 @@ decoder layer is defined relative to that convention: swap the channel
 axes and flip both spatial axes.  It is a numpy view of the encoder's
 kernel, not a copy, so an in-place update of one is an update of both.
 
-The correlation and its input gradient shift and accumulate (the kn2row
-scheme): the padded input lives in one flat buffer per channel, each
-kernel offset is one matrix product on a strided view of it, and no
-offset copies a window.  Every output element is the same dot product
-over input channels, summed in the same offset order, as a product per
-copied window gives, so the bits match too, except where the BLAS
-rounds the last few columns of a product in an edge kernel and only one
-layout puts that element there.  The forward sums its columns in blocks
-that keep the accumulator in cache across the k*k offsets, but only
-where that moves no column out of or into an edge kernel: where the
-column count is a multiple of 8.  The kernel gradient transposes the
+The correlation shifts and accumulates (the kn2row scheme): the padded
+input lives in one flat buffer per channel, each kernel offset is one
+matrix product on a strided view of it, and no offset copies a window.
+Every output element is the same dot product over input channels,
+summed in the same offset order, as a product per copied window gives,
+so the bits match too, except where the BLAS rounds the last few
+columns of a product in an edge kernel and only one layout puts that
+element there.  It sums its columns in blocks that keep the
+accumulator in cache across the k*k offsets, but only where that moves
+no column out of or into an edge kernel: where the column count is a
+multiple of 8.  The input gradient runs the same correlation (see
+_SameCorrelation.backward).  The kernel gradient transposes the
 padded input once, channels last, and takes one product per offset on a
 reused copy of its window, the operand tensordot would build; at k = 1
 it keeps tensordot's uncopied view, which rounds differently.
@@ -47,19 +48,18 @@ import numpy as np
 
 from .data.rng import Rng
 from .errors import ArgumentError, ShapeError
-from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
 
 
-def _sigmoid(z: Tensor) -> Tensor:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows: 1/(1 + e) for z >= 0, e/(1 + e) below.
     # min(z, -z) rather than -abs(z) keeps a NaN's sign bit.
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_derivative(z: Tensor) -> Tensor:
+def _sigmoid_derivative(z: np.ndarray) -> np.ndarray:
     s = _sigmoid(z)
     return s * (1.0 - s)
 
@@ -79,7 +79,7 @@ def _known_activation(name: str) -> str:
     return name
 
 
-def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
+def init_weights(shape: tuple[int, ...], rng: Rng) -> np.ndarray:
     """Seeded kernel, uniform in +-sqrt(6/fan_in); fan_in is every axis after the first."""
     lim = float(np.sqrt(6.0 / math.prod(shape[1:])))
     return rng.uniform_array(shape, -lim, lim)
@@ -94,7 +94,7 @@ def init_weights(shape: tuple[int, ...], rng: Rng) -> Tensor:
 BLOCK_BYTES = 1 << 20
 
 
-def _corr2d(x: Tensor, weights: Tensor) -> tuple[Tensor, Tensor]:
+def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, padded x).
 
     x is zero-padded into one flat (c, hp*wp + k - 1) buffer, so the
@@ -147,7 +147,7 @@ def _corr2d(x: Tensor, weights: Tensor) -> tuple[Tensor, Tensor]:
     return out.reshape(o, h, wp)[:, :, :w], xp
 
 
-def _corr2d_weight_grad(xp: Tensor, gz: Tensor, k: int) -> Tensor:
+def _corr2d_weight_grad(xp: np.ndarray, gz: np.ndarray, k: int) -> np.ndarray:
     """Gradient of _corr2d's map with respect to its kernel, for map gradient gz.
 
     Each offset (u, v) is one product of gz, as (o, h*w), with the
@@ -173,35 +173,11 @@ def _corr2d_weight_grad(xp: Tensor, gz: Tensor, k: int) -> Tensor:
     return gw
 
 
-def _corr2d_input_grad(gz: Tensor, weights: Tensor) -> Tensor:
-    """Gradient of _corr2d's map with respect to its input, for map gradient gz.
-
-    The mirror of _corr2d: gz is zero-padded to width wp, and offset
-    (u, v) adds its product into the flat padded gradient at u*wp + v.
-    The zero wrap columns add only +-0 onto sums that start at +0, so
-    they move no bit, not even a sign.
-    """
-    o, h, w = gz.shape
-    k = weights.shape[2]
-    pad = k // 2
-    hp, wp = h + 2 * pad, w + 2 * pad
-    gz_flat = np.zeros((o, h, wp), dtype=np.float64)
-    gz_flat[:, :, :w] = gz
-    gz_flat = gz_flat.reshape(o, h * wp)
-    wt = np.ascontiguousarray(weights.transpose(2, 3, 1, 0))  # (k, k, in, out)
-    gxp = np.zeros((weights.shape[1], hp * wp + k - 1), dtype=np.float64)
-    for u in range(k):
-        for v in range(k):
-            s = u * wp + v
-            gxp[:, s:s + h * wp] += wt[u, v] @ gz_flat
-    return gxp[:, :hp * wp].reshape(-1, hp, wp)[:, pad:pad + h, pad:pad + w]
-
-
 # ---------------------------------------------------------------------------
 # convolution and transposed convolution
 # ---------------------------------------------------------------------------
 
-def transpose_flip(weights: Tensor) -> Tensor:
+def transpose_flip(weights: np.ndarray) -> np.ndarray:
     """View of an (out, in, k, k) kernel with the channel axes swapped and space flipped.
 
     It is its own inverse, so it also maps a decoder's kernel gradient
@@ -220,7 +196,7 @@ class _SameCorrelation:
 
     kind = "conv"
 
-    def __init__(self, weights: Tensor, bias: Tensor, activation: str):
+    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
         self.activation = _known_activation(activation)
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
@@ -246,7 +222,7 @@ class _SameCorrelation:
     def kernel(self) -> int:
         return self.weights.shape[2]
 
-    def forward(self, x: Tensor):
+    def forward(self, x: np.ndarray):
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ShapeError(
                 f"{self.kind} input must be ({self.in_channels}, h, w), got {x.shape}")
@@ -254,7 +230,7 @@ class _SameCorrelation:
         z = out + self.bias[:, None, None]
         return ACTIVATIONS[self.activation][0](z), (xp, z)
 
-    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
         xp, z = cache
         if grad_out.shape != z.shape:
@@ -265,7 +241,16 @@ class _SameCorrelation:
             "W": _corr2d_weight_grad(xp, gz, self.kernel),
             "b": gz.sum(axis=(1, 2)),
         }
-        return _corr2d_input_grad(gz, self.weights) if input_grad else None, grads
+        if not input_grad:
+            return None, grads
+        # The input gradient is the correlation of gz with transpose_flip of
+        # the kernel.  Correlating the reversed gz with the channel-swapped,
+        # unflipped kernel and reversing the result is the same sum with the
+        # kernel offsets taken in ascending order, the order the pinned
+        # digests were recorded with; a flipped kernel reverses that order
+        # and moves bits.
+        gx, _ = _corr2d(gz[:, ::-1, ::-1], self.weights.transpose(1, 0, 2, 3))
+        return gx[:, ::-1, ::-1], grads
 
 
 # Conv2DLayer and Deconv2DLayer are siblings, not parent and child:
@@ -289,7 +274,7 @@ class Deconv2DLayer(_SameCorrelation):
     kind = "deconv"
 
     @classmethod
-    def tied(cls, encoder: Conv2DLayer, activation: str, bias: Tensor | None = None):
+    def tied(cls, encoder: Conv2DLayer, activation: str, bias: np.ndarray | None = None):
         """A decoder on encoder's kernel; its bias is zero unless given."""
         return cls(transpose_flip(encoder.weights),
                    np.zeros(encoder.in_channels) if bias is None else bias, activation)
@@ -316,7 +301,7 @@ class PoolSwitches:
         return self.index.shape
 
 
-def _wins(b: Tensor, a: Tensor, nan: bool) -> np.ndarray:
+def _wins(b: np.ndarray, a: np.ndarray, nan: bool) -> np.ndarray:
     """Where b displaces a as the running maximum: b > a, or b is the first NaN."""
     won = b > a
     if nan:
@@ -324,7 +309,7 @@ def _wins(b: Tensor, a: Tensor, nan: bool) -> np.ndarray:
     return won
 
 
-def maxpool2x2_forward(x: Tensor) -> tuple[Tensor, PoolSwitches]:
+def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolSwitches]:
     """Per-window maximum over 2x2 blocks, stride 2.
 
     Ties go to the first maximum in row-major window order, and a window
@@ -360,7 +345,7 @@ def maxpool2x2_forward(x: Tensor) -> tuple[Tensor, PoolSwitches]:
     return np.take(x, index), PoolSwitches(index, (c, h, w))
 
 
-def unpool2x2_forward(x: Tensor, switches: PoolSwitches) -> Tensor:
+def unpool2x2_forward(x: np.ndarray, switches: PoolSwitches) -> np.ndarray:
     """Scatter each value to its recorded max location; zero elsewhere."""
     if x.ndim != 3:
         raise ShapeError(f"unpool input must be (c, h, w), got {x.shape}")
@@ -372,12 +357,12 @@ def unpool2x2_forward(x: Tensor, switches: PoolSwitches) -> Tensor:
     return out
 
 
-def maxpool2x2_backward(switches: PoolSwitches, grad_out: Tensor) -> Tensor:
+def maxpool2x2_backward(switches: PoolSwitches, grad_out: np.ndarray) -> np.ndarray:
     """Route the upstream gradient to the recorded max locations."""
     return unpool2x2_forward(grad_out, switches)
 
 
-def unpool2x2_backward(switches: PoolSwitches, grad_out: Tensor) -> Tensor:
+def unpool2x2_backward(switches: PoolSwitches, grad_out: np.ndarray) -> np.ndarray:
     """Gather the upstream gradient from the recorded max locations."""
     if grad_out.shape != switches.input_shape:
         raise ShapeError(
@@ -396,7 +381,7 @@ class DenseLayer:
     2.6 GB, and a copy would double the peak memory of building it.
     """
 
-    def __init__(self, weights: Tensor, bias: Tensor, activation: str):
+    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
         self.activation = _known_activation(activation)
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.array(bias, dtype=np.float64)
@@ -415,13 +400,13 @@ class DenseLayer:
     def out_size(self) -> int:
         return self.weights.shape[0]
 
-    def forward(self, x: Tensor):
+    def forward(self, x: np.ndarray):
         if x.ndim != 1 or x.shape[0] != self.in_size:
             raise ShapeError(f"dense input must be ({self.in_size},), got {x.shape}")
         z = self.weights @ x + self.bias
         return ACTIVATIONS[self.activation][0](z), (x, z)
 
-    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
         x, z = cache
         if grad_out.shape != z.shape:
@@ -431,7 +416,7 @@ class DenseLayer:
         return self.weights.T @ gz if input_grad else None, grads
 
 
-def softmax(logits: Tensor) -> Tensor:
+def softmax(logits: np.ndarray) -> np.ndarray:
     """Exp-normalized distribution, computed with max subtraction."""
     if logits.ndim != 1 or logits.size < 1:
         raise ShapeError(f"softmax input must be a non-empty vector, got {logits.shape}")
@@ -439,7 +424,7 @@ def softmax(logits: Tensor) -> Tensor:
     return e / e.sum()
 
 
-def cross_entropy(probs: Tensor, target: int) -> float:
+def cross_entropy(probs: np.ndarray, target: int) -> float:
     """-log p[target], with p floored at 1e-12 so the loss stays finite."""
     if probs.ndim != 1:
         raise ShapeError(f"cross_entropy needs a probability vector, got {probs.shape}")
@@ -448,7 +433,7 @@ def cross_entropy(probs: Tensor, target: int) -> float:
     return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
 
 
-def softmax_xent_grad(probs: Tensor, target: int) -> Tensor:
+def softmax_xent_grad(probs: np.ndarray, target: int) -> np.ndarray:
     """Gradient of cross_entropy(softmax(z), target) w.r.t. the logits z."""
     if not 0 <= target < probs.shape[0]:
         raise IndexError(f"target {target} out of range for {probs.shape[0]} classes")

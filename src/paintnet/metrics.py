@@ -9,7 +9,6 @@ import numpy as np
 
 from .classifier import CNNModel, predict
 from .errors import ArgumentError
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / total
 
 
-def evaluate(model: CNNModel, samples: list[tuple[Tensor, int]]) -> ConfusionMatrix:
+def evaluate(model: CNNModel, samples: list[tuple[np.ndarray, int]]) -> ConfusionMatrix:
     """One count per sample at (true label, predicted label)."""
     n = model.config.n_classes
     counts = np.zeros((n, n), dtype=np.int64)

@@ -47,7 +47,6 @@ from .errors import (
     ConfigError,
     ShapeError,
 )
-from .tensor import Tensor
 
 MAGIC = b"DPNT"
 VERSION = 1
@@ -55,7 +54,7 @@ KIND_CAE = 0
 KIND_CNN = 1
 
 
-def encode_checkpoint(kind: int, config: dict, tensors: dict[str, Tensor]) -> bytes:
+def encode_checkpoint(kind: int, config: dict, tensors: dict[str, np.ndarray]) -> bytes:
     """Serialize a raw (kind, config, named tensor) triple."""
     if kind not in (KIND_CAE, KIND_CNN):
         raise ArgumentError(f"unknown model kind {kind}")
@@ -95,7 +94,7 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, Tensor]]:
+def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
     """Parse checkpoint bytes back into (kind, config, named tensors)."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
@@ -111,10 +110,14 @@ def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, Tensor]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"config block does not parse: {exc}") from exc
 
-    tensors: dict[str, Tensor] = {}
+    tensors: dict[str, np.ndarray] = {}
     while not r.exhausted:
         (name_len,) = r.unpack("<H", "record name length")
-        name = r.take(name_len, "record name").decode("utf-8")
+        raw_name = r.take(name_len, "record name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"record name {raw_name!r} is not UTF-8") from exc
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor record {name!r}")
         (rank,) = r.unpack("<B", "record rank")
@@ -191,6 +194,7 @@ def load_checkpoint(path):
 
     The model is rebuilt by the same stage builders as build_cae and
     build_cnn, with every parameter read from the file; no init draws.
+    A record the config does not use is an error, not ignored.
     """
     try:
         data = Path(path).read_bytes()
@@ -198,6 +202,11 @@ def load_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     kind, block, tensors = decode_checkpoint(data)
     try:
-        return _rebuild(kind, block, stored(tensors))
+        model = _rebuild(kind, block, stored(tensors))
     except (KeyError, TypeError, ValueError, ConfigError, ArgumentError, ShapeError) as exc:
         raise CheckpointFormatError(f"config block does not describe a model: {exc!r}") from exc
+    unused = sorted(tensors.keys() - stage_parameters(model.stages).keys())
+    if unused:
+        raise CheckpointFormatError(
+            f"checkpoint has records its config does not use: {', '.join(map(repr, unused))}")
+    return model

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from paintnet.autoencoder import (
     CAEConfig,
@@ -257,9 +259,28 @@ def test_loss_matches_direct_sum():
     assert reconstruction_loss(a, b) == pytest.approx(direct, rel=1e-14)
 
 
+def test_loss_examples():
+    t = np.array([1.0, 2.0, 3.0])
+    assert reconstruction_loss(t, t) == 0.0
+    assert reconstruction_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+    assert reconstruction_loss(np.array([3.0]), np.array([1.0])) == 4.0
+
+
 def test_loss_shape_mismatch():
     with pytest.raises(ShapeError):
         reconstruction_loss(np.zeros((3, 4, 4)), np.zeros((3, 8, 8)))
+    with pytest.raises(ShapeError):
+        reconstruction_loss(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5),
+                  elements=st.floats(-100, 100)),
+       st.integers(min_value=0, max_value=2**32))
+def test_loss_symmetric_nonnegative(a, seed):
+    b = np.random.default_rng(seed).uniform(-100, 100, size=a.shape)
+    l_ab, l_ba = reconstruction_loss(a, b), reconstruction_loss(b, a)
+    assert l_ab == l_ba
+    assert l_ab >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ implementation's flat shift-and-accumulate products, so agreement is
 meaningful.  The per-offset tensordot formulation those products
 replaced is kept here too, as the reference they match byte for byte,
 and so are the unblocked correlation and tensordot kernel gradient that
-the cache-blocked forms replaced, the split-by-sign sigmoid, and the
+the cache-blocked forms replaced, the scatter input gradient that the
+reversed correlation replaced, the split-by-sign sigmoid, and the
 argmax pooling that the window-plane tournament replaced.
 """
 
@@ -336,15 +337,39 @@ def tensordot_weight_grad(xp, gz, k):
     return gw
 
 
+def scatter_input_grad(gz, weights):
+    """The input gradient before it reused _corr2d: each offset's product scattered into it."""
+    o, h, w = gz.shape
+    k = weights.shape[2]
+    pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    gz_flat = np.zeros((o, h, wp), dtype=np.float64)
+    gz_flat[:, :, :w] = gz
+    gz_flat = gz_flat.reshape(o, h * wp)
+    wt = np.ascontiguousarray(weights.transpose(2, 3, 1, 0))  # (k, k, in, out)
+    gxp = np.zeros((weights.shape[1], hp * wp + k - 1), dtype=np.float64)
+    for u in range(k):
+        for v in range(k):
+            s = u * wp + v
+            gxp[:, s:s + h * wp] += wt[u, v] @ gz_flat
+    return gxp[:, :hp * wp].reshape(-1, hp, wp)[:, pad:pad + h, pad:pad + w]
+
+
 def test_correlation_bytes_match_unblocked_reference():
-    # column blocks and the reused window buffer against the code they
-    # replaced: k 1 to 7, up to 96 output channels, h*wp a multiple of 8
-    # (blocked) and not (one block), signed zeros in x and gz
+    # column blocks, the reused window buffer and the input gradient's
+    # reversed correlation against the code they replaced: k 1 to 7, up to
+    # 96 output or input channels, h*wp a multiple of 8 (blocked) and not
+    # (one block), signed zeros in x and gz.  Where h*wp is not a multiple
+    # of 8, the reversal moves other columns of the input gradient's
+    # products into the BLAS's edge kernel, so there it is held to 1e-12.
     gen = np.random.default_rng(1111)
-    several_blocks = 0
-    for case in range(240):
+    several_blocks = several_grad_blocks = 0
+    for case in range(320):
         k = (1, 3, 5, 7)[case % 4]
-        if case % 3:
+        if case >= 240:  # many input channels: several input-gradient blocks
+            out_c, in_c = int(gen.integers(1, 17)), int(gen.integers(48, 97))
+            h, w = (int(e) for e in gen.integers(24, 49, size=2))
+        elif case % 3:
             out_c, in_c = int(gen.integers(1, 97)), int(gen.integers(1, 25))
             h, w = (int(e) for e in gen.integers(1, 41, size=2))
         else:  # wide maps at many output channels: several blocks
@@ -353,8 +378,9 @@ def test_correlation_bytes_match_unblocked_reference():
         wp = w + k - 1
         if case % 2:
             h += -h % (8 // math.gcd(wp, 8))  # the next h with h*wp a multiple of 8
-        if h * wp % 8 == 0 and 16 * out_c * h * wp > layers.BLOCK_BYTES:
-            several_blocks += 1
+        aligned = h * wp % 8 == 0
+        several_blocks += aligned and 16 * out_c * h * wp > layers.BLOCK_BYTES
+        several_grad_blocks += aligned and 16 * in_c * h * wp > layers.BLOCK_BYTES
         x = gen.normal(size=(in_c, h, w))
         x[gen.random(x.shape) < 0.2] = -0.0
         x[gen.random(x.shape) < 0.1] = 0.0
@@ -367,7 +393,14 @@ def test_correlation_bytes_match_unblocked_reference():
         assert_same_bytes(out, ref_out)
         assert_same_bytes(xp, ref_xp)
         assert_same_bytes(layers._corr2d_weight_grad(xp, gz, k), tensordot_weight_grad(ref_xp, gz, k))
+        gx, _ = Conv2DLayer(weights, np.zeros(out_c), "identity").backward((xp, out), gz)
+        ref_gx = scatter_input_grad(gz, weights)
+        if aligned:
+            assert_same_bytes(gx, ref_gx)
+        else:
+            npt.assert_allclose(gx, ref_gx, rtol=1e-12, atol=0)
     assert several_blocks >= 40
+    assert several_grad_blocks >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,14 @@ def test_decode_rejects_duplicate_names():
         decode_checkpoint(doubled)
 
 
+def test_decode_rejects_non_utf8_record_name():
+    blob = encode_checkpoint(KIND_CNN, {}, {"ab": np.ones(1)})
+    bad = blob.replace(b"\x02\x00ab", b"\x02\x00\xff\xfe")
+    assert bad != blob
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+        decode_checkpoint(bad)
+
+
 def test_decode_roundtrips_tensors():
     tensors = {"a": np.arange(12, dtype=np.float64).reshape(3, 4),
                "b": Rng(5).uniform_array((2, 2, 2), -1.0, 1.0)}
@@ -293,6 +301,18 @@ def test_load_rejects_missing_tensor(tmp_path):
     path = tmp_path / "bad.dpnt"
     path.write_bytes(blob)
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_load_rejects_unused_records(tmp_path):
+    # a tied decoder's kernel is its encoder's, so a dec1.W record is unused too
+    model = small_cae(tied=True)
+    from paintnet.persist import _config_block
+    tensors = {**stage_parameters(model.stages), "dec1.W": np.ones((3, 2, 5, 5)),
+               "junk": np.ones(1)}
+    path = tmp_path / "bad.dpnt"
+    path.write_bytes(encode_checkpoint(KIND_CAE, _config_block(model), tensors))
+    with pytest.raises(CheckpointFormatError, match="does not use: 'dec1.W', 'junk'"):
         load_checkpoint(path)
 
 
