@@ -269,6 +269,9 @@ def test_loss_examples():
 def test_loss_shape_mismatch():
     with pytest.raises(ShapeError):
         reconstruction_loss(np.zeros((3, 4, 4)), np.zeros((3, 8, 8)))
+
+
+def test_loss_shape_mismatch_1d():
     with pytest.raises(ShapeError):
         reconstruction_loss(np.array([1.0]), np.array([1.0, 2.0]))
 
