@@ -23,6 +23,7 @@ from .errors import CheckpointFormatError, ConfigError, DataError, NumericError,
 from .layers import (
     Conv2DLayer,
     Deconv2DLayer,
+    Rank1,
     init_weights,
     maxpool2x2_backward,
     maxpool2x2_forward,
@@ -225,14 +226,14 @@ class StageStack:
                 x, caches[st.name] = st.layer.forward(x)
         return x, caches
 
-    def backward(self, caches, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of every trained parameter for an output gradient.
+    def backward(self, caches, grad_out: np.ndarray) -> dict[str, np.ndarray | Rank1]:
+        """Gradients of every trained parameter for an output gradient; a dense W's is a Rank1.
 
         A tied deconv's kernel gradient, mapped by transpose_flip into its
         conv's layout, is added onto that conv's.  The first trained
         stage computes no input gradient, since nothing reads it.
         """
-        grads: dict[str, np.ndarray] = {}
+        grads: dict[str, np.ndarray | Rank1] = {}
         g = grad_out
         trained = self.stages[self.trained_from:]
         for st in reversed(trained):
@@ -320,6 +321,17 @@ def reconstruction_loss(reconstruction: np.ndarray, clean_original: np.ndarray) 
 # training
 # ---------------------------------------------------------------------------
 
+# bytes of the bool mask one finiteness check may take: about 1 MiB a block
+# of rows, where a mask over all of the full-scale fc1 would take 0.33 GB
+_FINITE_BLOCK = 1 << 20
+
+
+def _all_finite(p: np.ndarray) -> bool:
+    """Whether every element of p is finite, checked a block of rows at a time."""
+    rows = max(1, _FINITE_BLOCK // (p.size // len(p)))
+    return all(np.isfinite(p[i:i + rows]).all() for i in range(0, len(p), rows))
+
+
 def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SGDConfig,
           epochs: int, seed: int, threads: int = 1) -> list[tuple[int, float, list]]:
     """Minibatch SGD over count samples; returns (epoch, lr, per-sample stats) rows.
@@ -329,6 +341,8 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
     scheduled learning rate.  Each batch's gradients are summed in
     sample order as they arrive, whatever the thread count, then
     divided by the batch length, so the thread count never changes a bit.
+    A dense layer's W gradients stay Rank1 factors, listed in sample
+    order, which sgd_step sums and divides in that order a row at a time.
     A parameter that is not finite after a step raises NumericError
     naming phase, whether a non-finite gradient or the step itself made
     it so; that check, not a numpy warning, reports an overflow in a
@@ -350,22 +364,25 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
             stats = []
             for batch_index, start in enumerate(range(0, count, opt.batch_size)):
                 batch = order[start:start + opt.batch_size]
-                total = None
+                total = {}
                 for info, grads in (pool.map if pool else map)(
                         quiet_sample, [epoch] * len(batch), batch):
                     stats.append(info)
-                    if total is None:
-                        total = grads  # a sample's gradients are fresh arrays
-                    else:
-                        for k in total:
-                            total[k] += grads[k]
-                    del grads  # at most one sample's gradients beside the sum
-                for k in total:
-                    total[k] /= len(batch)
+                    for k, g in grads.items():
+                        if isinstance(g, Rank1):
+                            total.setdefault(k, []).append(g)  # summed row by row in the step
+                        elif k in total:
+                            total[k] += g
+                        else:
+                            total[k] = g  # a sample's gradients are fresh arrays
+                    del grads  # at most one sample's array gradients beside the sum
+                for g in total.values():
+                    if not isinstance(g, list):
+                        g /= len(batch)
                 with np.errstate(over="ignore", invalid="ignore"):
                     sgd_step(params, total, lr)
                     for k, p in params.items():
-                        if not np.isfinite(p).all():
+                        if not _all_finite(p):
                             raise NumericError(f"{phase} epoch {epoch}, batch {batch_index}: "
                                                f"{k} is not finite after the SGD step")
             rows.append((epoch, lr, stats))

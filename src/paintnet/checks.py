@@ -24,6 +24,7 @@ from .layers import (
     DenseLayer,
     cross_entropy,
     init_weights,
+    materialize,
     maxpool2x2_backward,
     maxpool2x2_forward,
     softmax,
@@ -52,7 +53,8 @@ def _probe(layer, rng: Rng, x_shape: tuple[int, ...], r_shape: tuple[int, ...]):
     """<layer(x), r> for x and r drawn from rng, with its W, b and x gradients.
 
     A tied deconv's weights are a view of its encoder's kernel, so
-    perturbing them perturbs the array the tie shares.
+    perturbing them perturbs the array the tie shares.  A dense layer's
+    W gradient is formed from its Rank1 factors for the comparison.
     """
     x = rng.uniform_array(x_shape, -1.0, 1.0)
     r = rng.uniform_array(r_shape, -1.0, 1.0)
@@ -63,7 +65,7 @@ def _probe(layer, rng: Rng, x_shape: tuple[int, ...], r_shape: tuple[int, ...]):
 
     _, cache = layer.forward(x)
     gx, grads = layer.backward(cache, r)
-    return loss, {"W": layer.weights, "b": layer.bias, "x": x}, {**grads, "x": gx}
+    return loss, {"W": layer.weights, "b": layer.bias, "x": x}, {**materialize(grads), "x": gx}
 
 
 def _conv2d(_):
@@ -123,9 +125,9 @@ _SCALES = {
 
 
 def _stack(model, x, target):
-    """A whole model's own loss, with its trained parameters' gradients."""
+    """A whole model's own loss, with its trained parameters' gradients as arrays."""
     _, _, analytic = model.loss_and_param_grads(x, target)
-    return lambda: model.loss_value(x, target), model.named_parameters(), analytic
+    return lambda: model.loss_value(x, target), model.named_parameters(), materialize(analytic)
 
 
 def _cae_stack(sizes):

@@ -100,8 +100,7 @@ def finetune(model: CNNModel, samples: list[tuple[np.ndarray, int]], opt: SGDCon
              epochs: int, seed: int) -> tuple[CNNModel, list[tuple[int, float, float, float]]]:
     """Minibatch SGD on cross-entropy, on one worker.
 
-    A second worker would keep one more per-sample fc1 gradient, the
-    largest array in training, in memory.  Honors config.freeze_encoder by only stepping head parameters.
+    Honors config.freeze_encoder by only stepping head parameters.
     Returns the model and rows of (epoch, learning_rate, mean_loss,
     train_accuracy).  Deterministic given seed.
     """

@@ -36,7 +36,8 @@ Every forward returns (output, cache) and every matching backward takes
 (cache, grad_output); both are pure functions of their arguments, so
 per-sample calls may run concurrently on disjoint inputs.  A layer's
 backward returns None for the input gradient when asked for none
-(input_grad=False), as the first trained stage of a model is.
+(input_grad=False), as the first trained stage of a model is.  A dense
+layer's W gradient is a Rank1, its two factors, not an array.
 """
 
 from __future__ import annotations
@@ -374,6 +375,33 @@ def unpool2x2_backward(switches: PoolSwitches, grad_out: np.ndarray) -> np.ndarr
 # dense, softmax, cross-entropy
 # ---------------------------------------------------------------------------
 
+class Rank1:
+    """A dense layer's W gradient, the outer product of gz and x, kept as those two factors.
+
+    The factors take O(out + in) memory where the product takes
+    out x in: for the classifier's fc1, the largest array in training.
+    sgd_step applies a batch of them one parameter row at a time, and
+    materialize forms the product where a whole array is needed.  There
+    is no __array__, so numpy arithmetic on one fails instead of quietly
+    building the product.
+    """
+
+    __slots__ = ("gz", "x")
+
+    def __init__(self, gz: np.ndarray, x: np.ndarray):
+        self.gz = gz
+        self.x = x
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.gz.shape[0], self.x.shape[0])
+
+
+def materialize(grads: dict) -> dict[str, np.ndarray]:
+    """grads with each Rank1 formed into its array, np.outer(gz, x); other entries as given."""
+    return {k: np.outer(g.gz, g.x) if isinstance(g, Rank1) else g for k, g in grads.items()}
+
+
 class DenseLayer:
     """Fully connected layer: activation(W x + b), W of shape (out, in).
 
@@ -407,12 +435,12 @@ class DenseLayer:
         return ACTIVATIONS[self.activation][0](z), (x, z)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
+        """(input gradient, or None unless input_grad, {"W": Rank1, "b"} gradients)."""
         x, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(f"dense grad shape {grad_out.shape} does not match output {z.shape}")
         gz = grad_out * ACTIVATIONS[self.activation][1](z)
-        grads = {"W": np.outer(gz, x), "b": gz.copy()}
+        grads = {"W": Rank1(gz, x), "b": gz.copy()}
         return self.weights.T @ gz if input_grad else None, grads
 
 

@@ -34,9 +34,16 @@ def lr_at_epoch(cfg: SGDConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.decay ** epoch
 
 
-def sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
+def sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray | list],
              lr: float) -> Mapping[str, np.ndarray]:
-    """In-place p <- p - lr*g for every parameter tensor.
+    """In-place p <- p - lr*g for every parameter tensor; no gradient is modified.
+
+    g is an array, or a batch's dense-layer gradients as a list of
+    layers.Rank1 factors in sample order, standing for the mean of their
+    outer products.  That mean is formed one row at a time, in the order
+    the array of it would be: gz0[i]*x0, + gz1[i]*x1, ..., then divided
+    by the list's length.  Each element thus gets the same IEEE
+    operations, so the same bits, and no parameter-sized array is made.
 
     The caller must hold exclusive access to the parameter arrays; this
     is the one sanctioned in-place mutation in the engine.
@@ -45,10 +52,29 @@ def sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
         raise ShapeError(f"parameter/gradient keys differ: {sorted(params)} vs {sorted(grads)}")
     for name, p in params.items():
         g = grads[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {name} {p.shape}")
-        p -= lr * g
+        for shape in [f.shape for f in g] if isinstance(g, list) else [g.shape]:
+            if p.shape != shape:
+                raise ShapeError(
+                    f"gradient shape {shape} does not match parameter {name} {p.shape}")
+        if isinstance(g, list):
+            _step_rows(p, g, lr)
+        else:
+            p -= lr * g
     return params
+
+
+def _step_rows(p: np.ndarray, factors: list, lr: float) -> None:
+    """p -= lr * (the mean of the factors' outer products), one row of p at a time."""
+    row = np.empty(p.shape[1])
+    term = np.empty(p.shape[1])
+    for i in range(p.shape[0]):
+        np.multiply(factors[0].gz[i], factors[0].x, out=row)
+        for f in factors[1:]:
+            np.multiply(f.gz[i], f.x, out=term)
+            row += term
+        row /= len(factors)
+        row *= lr
+        p[i] -= row
 
 
 def finite_difference_max_rel_error(loss_fn: Callable[[], float],

@@ -17,15 +17,23 @@ unchanged, so identical models always produce identical bytes.  The
 records are the model's stage parameters (<stage>.W, <stage>.b), frozen
 ones included.  Tied decoders store no kernel of their own; the tie is
 re-established from the config on load.
+
+write_checkpoint and read_checkpoint stream a binary file object record
+by record, each payload written from, or read into, its array's own
+buffer, so neither holds a second copy of a model; encode_checkpoint and
+decode_checkpoint run the same code over io.BytesIO.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -54,49 +62,81 @@ KIND_CAE = 0
 KIND_CNN = 1
 
 
-def encode_checkpoint(kind: int, config: dict, tensors: dict[str, np.ndarray]) -> bytes:
-    """Serialize a raw (kind, config, named tensor) triple."""
+def write_checkpoint(fh: BinaryIO, kind: int, config: dict,
+                     tensors: dict[str, np.ndarray]) -> None:
+    """Write a raw (kind, config, named tensor) triple to a binary file object.
+
+    Each payload is written from its array's own buffer, which
+    np.ascontiguousarray leaves uncopied for a C-contiguous float64 array.
+    """
     if kind not in (KIND_CAE, KIND_CNN):
         raise ArgumentError(f"unknown model kind {kind}")
-    parts = [MAGIC, struct.pack("<HB", VERSION, kind)]
+    fh.write(MAGIC + struct.pack("<HB", VERSION, kind))
     config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts.append(struct.pack("<I", len(config_bytes)))
-    parts.append(config_bytes)
+    fh.write(struct.pack("<I", len(config_bytes)) + config_bytes)
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+        arr = np.ascontiguousarray(tensors[name], "<f8")
         name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f8").tobytes())
-    return b"".join(parts)
+        fh.write(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes), name_bytes,
+                             arr.ndim, *arr.shape))
+        fh.write(arr.data)
+
+
+def encode_checkpoint(kind: int, config: dict, tensors: dict[str, np.ndarray]) -> bytes:
+    """Serialize a raw (kind, config, named tensor) triple."""
+    buf = io.BytesIO()
+    write_checkpoint(buf, kind, config, tensors)
+    return buf.getvalue()
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a seekable binary file object from its start to the end it had when opened."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.size = fh.seek(0, io.SEEK_END)
+        self.pos = fh.seek(0)
+
+    def _truncated(self, n: int, what: str) -> CheckpointFormatError:
+        return CheckpointFormatError(
+            f"truncated checkpoint: needed {n} bytes for {what} at offset {self.pos}")
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointFormatError(
-                f"truncated checkpoint: needed {n} bytes for {what} at offset {self.pos}")
-        out = self.data[self.pos:self.pos + n]
+        if self.pos + n > self.size:
+            raise self._truncated(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise self._truncated(n, what)
         self.pos += n
         return out
+
+    def take_array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A float64 array of shape, read straight into its own buffer."""
+        n = 8 * math.prod(shape)
+        if self.pos + n > self.size:  # checked before allocating n bytes
+            raise self._truncated(n, what)
+        arr = np.empty(shape, "<f8")
+        if self.fh.readinto(arr) != n:
+            raise self._truncated(n, what)
+        self.pos += n
+        return arr
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     @property
     def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.size
 
 
-def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
-    """Parse checkpoint bytes back into (kind, config, named tensors)."""
-    r = _Reader(data)
+def read_checkpoint(fh: BinaryIO) -> tuple[int, dict, dict[str, np.ndarray]]:
+    """Parse a seekable binary file object into (kind, config, named tensors).
+
+    Each payload is read straight into an array allocated for it.  A
+    payload that runs past the end, or a read that comes up short
+    because the file shrank under the reader, is a truncated checkpoint.
+    """
+    r = _Reader(fh)
     if r.take(4, "magic") != MAGIC:
         raise CheckpointFormatError("bad magic, not a checkpoint file")
     (version, kind) = r.unpack("<HB", "version/kind")
@@ -122,14 +162,15 @@ def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
             raise CheckpointFormatError(f"duplicate tensor record {name!r}")
         (rank,) = r.unpack("<B", "record rank")
         extents = r.unpack(f"<{rank}I", "record extents")
-        count = 1
-        for e in extents:
-            if e < 1:
-                raise CheckpointFormatError(f"record {name!r} has zero extent")
-            count *= e
-        payload = r.take(count * 8, f"record {name!r} payload")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
+        if min(extents, default=1) < 1:
+            raise CheckpointFormatError(f"record {name!r} has zero extent")
+        tensors[name] = r.take_array(extents, f"record {name!r} payload")
     return kind, config, tensors
+
+
+def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
+    """Parse checkpoint bytes back into (kind, config, named tensors)."""
+    return read_checkpoint(io.BytesIO(data))
 
 
 def _config_block(model) -> dict:
@@ -147,31 +188,32 @@ def save_checkpoint(model, path) -> int:
     if not isinstance(model, (CAEModel, CNNModel)):
         raise ArgumentError(f"cannot checkpoint object of type {type(model).__name__}")
     kind = KIND_CAE if isinstance(model, CAEModel) else KIND_CNN
-    blob = encode_checkpoint(kind, _config_block(model), stage_parameters(model.stages))
+    config, tensors = _config_block(model), stage_parameters(model.stages)
     try:
-        _write_atomic(Path(path), blob)
+        return _write_atomic(Path(path), lambda fh: write_checkpoint(fh, kind, config, tensors))
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
-    return len(blob)
 
 
-def _write_atomic(path: Path, blob: bytes) -> None:
-    """Replace path with blob, or leave it untouched: never a torn file.
+def _write_atomic(path: Path, write) -> int:
+    """Replace path with what write(fh) writes, or leave it untouched: never a torn file.
 
     The bytes go to a temporary file beside path, reach the disk, and
     only then take path's name; a failure at any step removes the
-    temporary file.
+    temporary file.  Returns the byte count.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            write(fh)
+            size = fh.tell()
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return size
 
 
 def _dataclass_from(cls, block: dict):
@@ -194,13 +236,15 @@ def load_checkpoint(path):
 
     The model is rebuilt by the same stage builders as build_cae and
     build_cnn, with every parameter read from the file; no init draws.
-    A record the config does not use is an error, not ignored.
+    Each record is read into the array the model keeps, so a load holds
+    about one model's bytes.  A record the config does not use is an
+    error, not ignored.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            kind, block, tensors = read_checkpoint(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    kind, block, tensors = decode_checkpoint(data)
     try:
         model = _rebuild(kind, block, stored(tensors))
     except (KeyError, TypeError, ValueError, ConfigError, ArgumentError, ShapeError) as exc:

@@ -354,6 +354,19 @@ def test_evaluate_corrupt_checkpoint_exits_4(tmp_path):
     assert "error" in err
 
 
+def test_evaluate_checkpoint_truncated_on_disk_exits_4(tmp_path):
+    cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3), seed=0)
+    model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=1)
+    ckpt = tmp_path / "cnn.dpnt"
+    size = save_checkpoint(model, ckpt)
+    os.truncate(ckpt, size - 8)  # the last payload loses its last float
+    cfg = write_config(tmp_path)
+    code, _, err = run_cli("evaluate", "--config", str(cfg), "--checkpoint", str(ckpt))
+    assert code == 4
+    assert re.fullmatch(r"error: truncated checkpoint: needed \d+ bytes for record 'out\.b' "
+                        r"payload at offset \d+\n", err)
+
+
 def test_evaluate_rejects_autoencoder_checkpoint(tmp_path):
     cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3),
                               kernel=3), seed=0)

@@ -9,12 +9,17 @@ gradient sum by the batch length and multiplying it by the reciprocal
 agree.  The fine-tuning runs have batches of 9 and 3, which pin the
 division.  The gradient check's printed report is pinned too, so a
 change to any layer's arithmetic or to the check's draws shows here.
+
+The digests hold for one numpy and BLAS build on one CPU kernel family,
+so a failing digest names the OpenBLAS core it ran under.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +62,27 @@ FORWARD_16x24 = "1005dfad2348c6dd4c261f800caac04b1f9ba64d51d105f273f72d30e738778
 GRADCHECK_SMALL = "f05cda0d2ee96183e4e58805f8b1d98fbc2d500df5cd81f5b1106686277e14da"
 
 
+def blas_core() -> str:
+    """The core numpy's bundled OpenBLAS picked (SkylakeX, Haswell, ...), or "unknown".
+
+    Read through ctypes from the library numpy ships in numpy.libs; a
+    numpy built another way reads as unknown.
+    """
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
+
+
+def _moved() -> str:
+    """A digest failure's message: the build and kernel family it ran under."""
+    return f"pinned digest moved under numpy {np.__version__}, OpenBLAS core {blas_core()}"
+
+
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -91,7 +117,8 @@ def _run(root, manifest, tag, command, **overrides):
 def test_pretrain_bytes(dataset, tied, threads):
     ckpt, reports = _run(*dataset, f"pre-{tied}-{threads}", "pretrain",
                          tied_decoder=tied, threads=threads)
-    assert (_sha(ckpt / "cae.dpnt"), _sha(reports / "pretrain_loss.csv")) == PRETRAIN[tied]
+    assert (_sha(ckpt / "cae.dpnt"), _sha(reports / "pretrain_loss.csv")) == PRETRAIN[tied], \
+        _moved()
 
 
 @pytest.mark.parametrize("freeze", [False, True])
@@ -101,20 +128,21 @@ def test_finetune_bytes_non_power_of_two_batches(dataset, freeze):
     ckpt, _ = _run(root, manifest, f"ft-{freeze}", "pretrain")
     _, reports = _run(root, manifest, f"ft-{freeze}/run", "finetune", batch_size=9,
                       freeze_encoder=freeze, checkpoint_dir=str(ckpt))
-    assert (_sha(ckpt / "cnn.dpnt"), _sha(reports / "finetune_loss.csv")) == FINETUNE[freeze]
+    assert (_sha(ckpt / "cnn.dpnt"), _sha(reports / "finetune_loss.csv")) == FINETUNE[freeze], \
+        _moved()
 
 
 def test_crossval_bytes(dataset):
     ckpt, reports = _run(*dataset, "cv", "crossval")
     got = {name: _sha((reports if name.endswith(".csv") else ckpt) / name) for name in CROSSVAL}
-    assert got == CROSSVAL
+    assert got == CROSSVAL, _moved()
 
 
 def test_gradcheck_small_stdout():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["gradcheck", "--scale", "small"]) == 0
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL, _moved()
 
 
 def test_forward_probability_bytes_non_square_pools():
@@ -122,4 +150,5 @@ def test_forward_probability_bytes_non_square_pools():
     model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=13)
     rng = Rng(14)
     probs = [model.forward(rng.uniform_array((3, 16, 24), 0.0, 1.0))[0] for _ in range(8)]
-    assert hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest() == FORWARD_16x24
+    assert hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest() == FORWARD_16x24, \
+        _moved()

@@ -4,7 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from paintnet.errors import ArgumentError, ConfigError, ShapeError
+from paintnet import autoencoder
+from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, train
+from paintnet.classifier import CNNConfig, build_cnn
+from paintnet.data.rng import Rng
+from paintnet.errors import ArgumentError, ConfigError, NumericError, ShapeError
+from paintnet.layers import Rank1
 from paintnet.optim import (
     SGDConfig,
     finite_difference_max_rel_error,
@@ -164,3 +169,122 @@ def test_grad_check_error_shrinks_with_eps_on_smooth_model():
     assert errs[0] > errs[1] > errs[2]
     # at 1e-6 round-off may dominate: plateau, staying under the threshold
     assert finite_difference_max_rel_error(*_stack(model, x, clean), 1e-6) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# a batch's dense W gradients as rank-1 factors, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_step(params, per_sample, lr):
+    """The array path: each dense W gradient formed by np.outer, summed in
+    sample order, divided by the batch length, then one sgd_step."""
+    total = None
+    for grads in per_sample:
+        arrays = {k: np.outer(g.gz, g.x) if isinstance(g, Rank1) else g.copy()
+                  for k, g in grads.items()}
+        if total is None:
+            total = arrays
+        else:
+            for k in total:
+                total[k] += arrays[k]
+    for k in total:
+        total[k] /= len(per_sample)
+    sgd_step(params, total, lr)
+
+
+def _one_train_batch(params, per_sample, lr):
+    """One batch of train over per_sample's gradients; returns the visit order."""
+    visited = []
+
+    def sample(epoch, index):
+        visited.append(index)
+        return None, {k: g if isinstance(g, Rank1) else g.copy()
+                      for k, g in per_sample[index].items()}
+
+    train("test", params, len(per_sample), sample,
+          SGDConfig(lr0=lr, batch_size=len(per_sample)), epochs=1, seed=8)
+    return visited
+
+
+def _assert_step_bytes_match(params, per_sample, lr):
+    ours = {k: p.copy() for k, p in params.items()}
+    order = _one_train_batch(ours, per_sample, lr)
+    _reference_step(params, [per_sample[i] for i in order], lr)
+    for k in params:
+        assert ours[k].tobytes() == params[k].tobytes(), k
+
+
+def _signed_zero_factors(rng, out_n, in_n):
+    """Seeded factors holding +0.0 and -0.0 in both gz and x."""
+    gz = rng.uniform_array((out_n,), -2.0, 2.0)
+    x = rng.uniform_array((in_n,), -2.0, 2.0)
+    gz[::3] = 0.0
+    gz[1::5] = -0.0
+    x[::4] = -0.0
+    x[2::7] = 0.0
+    return gz, x
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 33), (17, 4)])
+@pytest.mark.parametrize("batch", [1, 2, 3, 9, 16])
+def test_rank1_step_matches_summed_outer_products_bytewise(shape, batch):
+    out_n, in_n = shape
+    rng = Rng(100 * out_n + batch)
+    weights = rng.uniform_array(shape, -1.0, 1.0)
+    weights[-1] = np.where(np.arange(in_n) % 2, -0.0, 0.0)  # signs a zero row keeps
+    params = {"fc.W": weights, "fc.b": rng.uniform_array((out_n,), -1.0, 1.0)}
+    per_sample = []
+    for _ in range(batch):
+        gz, x = _signed_zero_factors(rng, out_n, in_n)
+        gz[-1] = -0.0 if batch % 2 else 0.0  # the last row's gradient is all zero
+        per_sample.append({"fc.W": Rank1(gz, x), "fc.b": gz.copy()})
+    _assert_step_bytes_match(params, per_sample, lr=0.37)
+
+
+def test_array_only_pretrain_batch_is_unchanged():
+    # no dense layer: every gradient is an array, summed in place as before
+    model = build_cae(CAEConfig(input_size=(8, 8), conv_channels=(2, 3)), seed=21)
+    rng = Rng(22)
+    per_sample = []
+    for _ in range(3):
+        x = rng.uniform_array(model.input_shape, 0.0, 1.0)
+        per_sample.append(model.loss_and_param_grads(x, x)[2])
+    assert not any(isinstance(g, Rank1) for grads in per_sample for g in grads.values())
+    _assert_step_bytes_match(model.named_parameters(), per_sample, lr=0.05)
+
+
+def test_rank1_step_leaves_its_factors_unchanged():
+    gz, x = np.array([1.0, -2.0]), np.array([0.5, 3.0, -1.0])
+    factors = [Rank1(gz, x), Rank1(2 * gz, x)]
+    sgd_step({"W": np.zeros((2, 3))}, {"W": factors}, lr=0.1)
+    npt.assert_array_equal(gz, [1.0, -2.0])
+    npt.assert_array_equal(x, [0.5, 3.0, -1.0])
+
+
+def test_rank1_step_shape_mismatch():
+    with pytest.raises(ShapeError):
+        sgd_step({"W": np.zeros((2, 3))}, {"W": [Rank1(np.ones(2), np.ones(4))]}, lr=0.1)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_only_fc1_weights_overflowing_names_fc1(monkeypatch, block):
+    # a finite fc1.W gradient whose product overflows in one element, the last,
+    # so every row block is scanned before the NaN/inf is found
+    if block is not None:
+        monkeypatch.setattr(autoencoder, "_FINITE_BLOCK", block)
+    cae = build_cae(CAEConfig(input_size=(8, 8), conv_channels=(2, 3)), seed=23)
+    model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=24)
+    x = Rng(25).uniform_array(model.input_shape, 0.0, 1.0)
+
+    def sample(epoch, index):
+        _, _, grads = model.loss_and_param_grads(x, 1)
+        gz, fx = grads["fc1.W"].gz.copy(), grads["fc1.W"].x.copy()
+        gz[-1], fx[-1] = 1e200, 1e200
+        grads["fc1.W"] = Rank1(gz, fx)
+        return None, grads
+
+    params = model.named_parameters()
+    with pytest.raises(NumericError) as err:
+        train("finetune", params, 2, sample, SGDConfig(lr0=0.01, batch_size=2), 1, seed=0)
+    assert str(err.value) == "finetune epoch 0, batch 0: fc1.W is not finite after the SGD step"
+    assert [k for k, p in params.items() if not np.isfinite(p).all()] == ["fc1.W"]

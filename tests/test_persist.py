@@ -1,6 +1,7 @@
 """Binary checkpoint format: byte layout, roundtrips, error handling."""
 
 import errno
+import io
 import json
 import os
 import struct
@@ -25,6 +26,7 @@ from paintnet.persist import (
     decode_checkpoint,
     encode_checkpoint,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 
@@ -113,6 +115,19 @@ def test_decode_rejects_truncation_everywhere():
             continue
         with pytest.raises(CheckpointFormatError):
             decode_checkpoint(blob[:cut])
+
+
+def test_read_short_of_the_size_it_opened_with_is_truncation():
+    # a file that shrinks under the reader: its size said the payload was there
+    class Shrunk(io.BytesIO):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+    blob = encode_checkpoint(KIND_CAE, {}, {"t": np.arange(6.0)})
+    with pytest.raises(CheckpointFormatError, match=r"truncated checkpoint: needed 48 bytes "
+                                                   r"for record 't' payload"):
+        read_checkpoint(Shrunk(blob))
+    assert read_checkpoint(io.BytesIO(blob))[2]["t"].tolist() == list(range(6))
 
 
 def test_decode_rejects_duplicate_names():
