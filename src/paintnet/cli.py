@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 check failure, 2 config or argument error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -273,7 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap_mapped() -> None:
+    """Under glibc, keep freed heap mapped for the rest of the process.
+
+    Each sample allocates and frees its whole working set, and glibc's
+    dynamic trim threshold handed it back to the kernel, so the next sample
+    faulted it in again (64K minor faults a desk pretrain command).  Now
+    only blocks of 32 MiB or more, glibc's largest mmap threshold, are
+    returned when freed.  Without mallopt (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap_mapped()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,20 +1,35 @@
-"""Peak memory of the classifier path: no temporary the size of fc1's weights.
+"""Memory: no temporary the size of fc1's weights on the classifier path,
+and no page faults per sample once the CLI's heap is warm.
 
 tracemalloc sees numpy's array allocations, and only those made after it
 starts, so a peak taken around one call is the memory that call needs
 beyond the model built before it.
 """
 
+import contextlib
+import ctypes
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paintnet
+import paintnet.cli as cli
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, stage_parameters
 from paintnet.classifier import CNNConfig, build_cnn, finetune
 from paintnet.data.rng import Rng
 from paintnet.optim import SGDConfig
 from paintnet.persist import load_checkpoint, save_checkpoint
+
+from conftest import write_dataset
+from test_golden import GRADCHECK_SMALL
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +74,54 @@ def test_load_reads_into_the_model_buffers(wide_cnn, tmp_path):
     assert peak - _model_bytes(model) < 0.1 * _model_bytes(model)
     for k, p in stage_parameters(wide_cnn.stages).items():
         assert np.array_equal(stage_parameters(model.stages)[k], p)
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+# runs the CLI's main in a fresh process and prints that process's minor faults
+_FAULTS = """
+import resource, sys
+from paintnet.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_pretrain_samples_fault_in_no_new_pages(tmp_path):
+    # 8 images at the desk profile: 2 more epochs are 16 more samples, whose
+    # working set the first epoch's heap already holds
+    manifest = write_dataset(tmp_path / "data", n_per_class=4, side=64, seed=7,
+                             labels=("alpha", "beta"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(paintnet.__file__).parent.parent))
+    faults = {}
+    for epochs in (1, 3):
+        out = tmp_path / f"e{epochs}"
+        out.mkdir()
+        (out / "run.json").write_text(json.dumps({
+            "input_size": [64, 64], "conv_channels": [8, 16], "kernel": 5, "batch_size": 8,
+            "epochs_pretrain": epochs, "seed": 3, "data_root": str(tmp_path / "data"),
+            "pretrain_manifest": str(manifest), "checkpoint_dir": str(out / "ckpt"),
+            "report_dir": str(out / "reports")}))
+        proc = subprocess.run([sys.executable, "-c", _FAULTS, "pretrain", "--config",
+                               str(out / "run.json")],
+                              env=env, capture_output=True, text=True, check=True,
+                              timeout=300)
+        faults[epochs] = int(proc.stdout.split()[-1])
+    assert (faults[3] - faults[1]) / 16 < 100, faults
+
+
+def test_cli_runs_where_libc_has_no_mallopt(monkeypatch):
+    # a libc without mallopt, as on macOS: the policy is skipped, nothing else changes
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gradcheck", "--scale", "small"]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL
