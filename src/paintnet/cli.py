@@ -106,11 +106,11 @@ def _checkpoint_path(config: RunConfig, name: str) -> Path:
     return Path(config.checkpoint_dir) / name
 
 
-def _save(model, config: RunConfig, name: str) -> str:
-    """Write model into the checkpoint directory; returns the line announcing it."""
+def _save(model, config: RunConfig, name: str):
+    """Write model into the checkpoint directory and announce it."""
     ckpt = _checkpoint_path(config, name)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    return f"wrote {ckpt} ({save_checkpoint(model, ckpt)} bytes)"
+    print(f"wrote {ckpt} ({save_checkpoint(model, ckpt)} bytes)")
 
 
 def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
@@ -134,7 +134,7 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     model = build_cae(config.cae_config(), config.seed)
     model, log = pretrain(model, images, config.sgd_config(), config.epochs_pretrain,
                           config.seed, threads=config.threads)
-    print(_save(model, config, CAE_CHECKPOINT))
+    _save(model, config, CAE_CHECKPOINT)
     rows = "".join(f"{e},{lr:.12g},{loss:.12g}\n" for e, lr, loss in log)
     _write_text(Path(config.report_dir) / "pretrain_loss.csv",
                 "epoch,lr,mean_loss\n" + rows)
@@ -175,7 +175,7 @@ def cmd_finetune(config: RunConfig, args) -> int:
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
     model, log = _fit(config, cae, samples, config.seed)
-    print(_save(model, config, CNN_CHECKPOINT))
+    _save(model, config, CNN_CHECKPOINT)
     rows = "".join(f"{e},{lr:.12g},{loss:.12g},{acc:.6f}\n" for e, lr, loss, acc in log)
     _write_text(Path(config.report_dir) / "finetune_loss.csv",
                 "epoch,lr,mean_loss,train_accuracy\n" + rows)

@@ -19,7 +19,6 @@ from .rng import Rng
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
-    label: str
     class_index: int
 
 
@@ -27,9 +26,6 @@ class ManifestEntry:
 class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
     classes: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def class_counts(self) -> list[int]:
         counts = [0] * len(self.classes)
@@ -63,7 +59,7 @@ def parse_manifest(text: str, source: str = "<string>") -> DatasetManifest:
         seen_paths.add(path)
         if label not in classes:
             classes.append(label)
-        entries.append(ManifestEntry(path=path, label=label, class_index=classes.index(label)))
+        entries.append(ManifestEntry(path=path, class_index=classes.index(label)))
     return DatasetManifest(entries=tuple(entries), classes=tuple(classes))
 
 

@@ -27,7 +27,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD1B54A32D192ED03
 
-# one output consumes 53 bits: uniform() maps next_u64() >> 11 into [0, 1)
+# one output consumes 53 bits: (next_u64() >> 11) * 2**-53 is exactly in [0, 1)
 _INV_2_53 = 1.0 / (1 << 53)
 
 # uniform_array fills its output this many draws at a time: the scratch
@@ -79,18 +79,12 @@ class Rng:
             rng = cls(rng.next_u64() ^ ((salt * _STREAM_SALT) & _MASK))
         return rng
 
-    def uniform(self) -> float:
-        """Uniform float in [0, 1)."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
         """Array filled in row-major order with uniform draws from [lo, hi).
 
-        Element i equals the i-th uniform_in(lo, hi) call: the same exact
-        conversion, then the same two IEEE operations.
+        Element i is lo + (hi - lo) * ((u_i >> 11) * 2**-53), where u_i is
+        the i-th next_u64() output: an exact conversion into [0, 1), then
+        two IEEE operations, in that order.
         """
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)

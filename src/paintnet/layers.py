@@ -297,10 +297,6 @@ class PoolSwitches:
     index: np.ndarray
     input_shape: tuple[int, int, int]
 
-    @property
-    def pooled_shape(self) -> tuple[int, int, int]:
-        return self.index.shape
-
 
 def _wins(b: np.ndarray, a: np.ndarray, nan: bool) -> np.ndarray:
     """Where b displaces a as the running maximum: b > a, or b is the first NaN."""
@@ -350,9 +346,9 @@ def unpool2x2_forward(x: np.ndarray, switches: PoolSwitches) -> np.ndarray:
     """Scatter each value to its recorded max location; zero elsewhere."""
     if x.ndim != 3:
         raise ShapeError(f"unpool input must be (c, h, w), got {x.shape}")
-    if x.shape != switches.pooled_shape:
+    if x.shape != switches.index.shape:
         raise ShapeError(
-            f"unpool input {x.shape} does not match switches {switches.pooled_shape}")
+            f"unpool input {x.shape} does not match switches {switches.index.shape}")
     out = np.zeros(switches.input_shape, dtype=np.float64)
     out.reshape(-1)[switches.index] = x
     return out

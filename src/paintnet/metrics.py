@@ -25,10 +25,6 @@ class ConfusionMatrix:
             raise ArgumentError("confusion matrix counts must be non-negative")
 
     @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 

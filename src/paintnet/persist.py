@@ -20,8 +20,7 @@ re-established from the config on load.
 
 write_checkpoint and read_checkpoint stream a binary file object record
 by record, each payload written from, or read into, its array's own
-buffer, so neither holds a second copy of a model; encode_checkpoint and
-decode_checkpoint run the same code over io.BytesIO.
+buffer, so neither holds a second copy of a model.
 """
 
 from __future__ import annotations
@@ -80,13 +79,6 @@ def write_checkpoint(fh: BinaryIO, kind: int, config: dict,
         fh.write(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes), name_bytes,
                              arr.ndim, *arr.shape))
         fh.write(arr.data)
-
-
-def encode_checkpoint(kind: int, config: dict, tensors: dict[str, np.ndarray]) -> bytes:
-    """Serialize a raw (kind, config, named tensor) triple."""
-    buf = io.BytesIO()
-    write_checkpoint(buf, kind, config, tensors)
-    return buf.getvalue()
 
 
 class _Reader:
@@ -166,11 +158,6 @@ def read_checkpoint(fh: BinaryIO) -> tuple[int, dict, dict[str, np.ndarray]]:
             raise CheckpointFormatError(f"record {name!r} has zero extent")
         tensors[name] = r.take_array(extents, f"record {name!r} payload")
     return kind, config, tensors
-
-
-def decode_checkpoint(data: bytes) -> tuple[int, dict, dict[str, np.ndarray]]:
-    """Parse checkpoint bytes back into (kind, config, named tensors)."""
-    return read_checkpoint(io.BytesIO(data))
 
 
 def _config_block(model) -> dict:

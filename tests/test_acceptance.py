@@ -256,7 +256,7 @@ def test_10_full_scale_shape_chain():
 def test_11_crossval_protocol():
     manifest = load_manifest(ASSETS / "sample_manifest.csv")
     split = kfold_split(manifest, 10, seed=0)
-    ok = len(manifest) == 120 and split.k == 10
+    ok = len(manifest.entries) == 120 and split.k == 10
     for fold in split.folds:
         per_class = [0, 0, 0]
         for idx in fold:

@@ -67,6 +67,15 @@ def test_bad_channels_rejected():
         CAEConfig(conv_channels=(0, 5))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"input_channels": 0}, "input channels must be >= 1, got 0"),
+    ({"kernel": 4}, "kernel must be odd and positive, got 4"),
+], ids=["no-input-channels", "even-kernel"])
+def test_config_names_the_bad_value(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        small_config(**overrides)
+
+
 def test_forward_matches_reported_chain_sweep():
     # every intermediate shape must equal the config's declared chain
     for side in (4, 8, 16):
@@ -80,9 +89,9 @@ def test_forward_matches_reported_chain_sweep():
                 chain = shape_chain(config)
                 a1 = caches["enc1"][1]
                 assert a1.shape == chain[1]
-                assert caches["pool1"].pooled_shape == chain[2]
+                assert caches["pool1"].index.shape == chain[2]
                 assert caches["enc2"][1].shape == chain[3]
-                assert caches["pool2"].pooled_shape == chain[4]
+                assert caches["pool2"].index.shape == chain[4]
                 assert recon.shape == chain[8] == x.shape
 
 
@@ -231,6 +240,11 @@ def test_corrupt_deterministic_per_seed():
     _, m3 = corrupt(img, 0.2, Rng.stream(7, 3, 2))
     assert all(np.array_equal(a, b) for a, b in zip(m1, m2))
     assert _distinct(*m1) != _distinct(*m3)
+
+
+def test_corrupt_rejects_non_image():
+    with pytest.raises(ShapeError, match=r"\(c, h, w\) image, got \(4, 4\)"):
+        corrupt(np.zeros((4, 4)), 0.2, Rng(0))
 
 
 def test_corrupt_bad_fraction():

@@ -284,8 +284,9 @@ def test_crossval_writes_report_and_fold_checkpoints(tmp_path):
     assert code == 0
     assert "fold 0 accuracy" in out and "fold 1 accuracy" in out
     assert "mean" in out and "sd" in out
-    assert (tmp_path / "ckpt" / "fold_00.dpnt").exists()
-    assert (tmp_path / "ckpt" / "fold_01.dpnt").exists()
+    folds = [tmp_path / "ckpt" / f"fold_{i:02d}.dpnt" for i in range(2)]
+    assert [ln for ln in out.splitlines() if ln.endswith(" bytes)")] == \
+        [f"wrote {p} ({p.stat().st_size} bytes)" for p in folds]
     csv = (tmp_path / "reports" / "crossval_report.csv").read_text().splitlines()
     assert csv[0] == "fold,accuracy"
     assert len(csv) == 1 + 2 + 2  # header, fold rows, mean, sd_population

@@ -5,6 +5,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from paintnet.autoencoder import CAEConfig, shape_chain
 from paintnet.config import (
     FIELD_TYPES,
     RunConfig,
@@ -131,3 +132,29 @@ def test_full_profile_loads():
     assert cfg.n_classes == 3
     assert cfg.folds == 10
     assert cfg.corruption_fraction == 0.2
+
+
+# the inputs of enc1, enc2, dec2 and dec1 in shape_chain: the maps a
+# correlation runs on, forward and (as the same-sized map gradient) backward
+CORRELATION_INPUTS = (0, 2, 5, 7)
+
+
+def correlation_columns(config: CAEConfig) -> list[int]:
+    """h * (w + k - 1), the flat column count of each correlation's product."""
+    chain = shape_chain(config)
+    return [chain[i][1] * (chain[i][2] + config.kernel - 1) for i in CORRELATION_INPUTS]
+
+
+@pytest.mark.parametrize("profile", ["desk.json", "full.json"])
+def test_shipped_profiles_correlate_on_columns_in_multiples_of_8(profile):
+    # the BLAS rounds the last (columns mod 8) of a product in an edge kernel,
+    # whose split can move with the BLAS thread count; a multiple of 8 has none
+    columns = correlation_columns(load_run_config(ASSETS / profile).cae_config())
+    assert [n % 8 for n in columns] == [0, 0, 0, 0], columns
+
+
+def test_every_input_side_in_multiples_of_8_correlates_on_columns_in_multiples_of_8():
+    for side in range(8, 257, 8):
+        for k in (1, 3, 5, 7):
+            columns = correlation_columns(CAEConfig(input_size=(side, side), kernel=k))
+            assert [n % 8 for n in columns] == [0, 0, 0, 0], (side, k, columns)

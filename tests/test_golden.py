@@ -61,6 +61,9 @@ FORWARD_16x24 = "1005dfad2348c6dd4c261f800caac04b1f9ba64d51d105f273f72d30e738778
 # stdout of `paintnet gradcheck --scale small`
 GRADCHECK_SMALL = "f05cda0d2ee96183e4e58805f8b1d98fbc2d500df5cd81f5b1106686277e14da"
 
+# the OpenBLAS core (blas_core()) every digest above was recorded under
+RECORDED_CORE = "SkylakeX"
+
 
 def blas_core() -> str:
     """The core numpy's bundled OpenBLAS picked (SkylakeX, Haswell, ...), or "unknown".
@@ -80,7 +83,8 @@ def blas_core() -> str:
 
 def _moved() -> str:
     """A digest failure's message: the build and kernel family it ran under."""
-    return f"pinned digest moved under numpy {np.__version__}, OpenBLAS core {blas_core()}"
+    return (f"pinned digest moved under numpy {np.__version__}, OpenBLAS core {blas_core()} "
+            f"(recorded under {RECORDED_CORE})")
 
 
 def _sha(path) -> str:

@@ -80,6 +80,13 @@ def test_decode_rejects_truncated_header():
         decode_ppm(b"")
 
 
+@pytest.mark.parametrize("data", [b"P6 1 1 255", b"P6 1 1 255#" + bytes(2)],
+                         ids=["no-payload", "payload-glued-to-maxval"])
+def test_decode_rejects_header_without_separator(data):
+    with pytest.raises(ImageFormatError, match="missing separator before pixel payload"):
+        decode_ppm(data)
+
+
 def test_decode_rejects_zero_dims():
     with pytest.raises(ImageFormatError):
         decode_ppm(b"P6 0 1 255 ")

@@ -695,6 +695,61 @@ def test_dense_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# input checks: each names the bad shape or value
+# ---------------------------------------------------------------------------
+
+def _conv_backward(grad_shape):
+    layer = seeded_conv(3, 2, 3, "relu", Rng(0))
+    _, cache = layer.forward(np.zeros((3, 6, 6)))
+    return layer.backward(cache, np.zeros(grad_shape))
+
+
+def _dense_backward(grad_shape):
+    layer = DenseLayer(np.ones((2, 3)), np.zeros(2), "relu")
+    _, cache = layer.forward(np.zeros(3))
+    return layer.backward(cache, np.zeros(grad_shape))
+
+
+def _switches():
+    return maxpool2x2_forward(np.zeros((2, 4, 4)))[1]
+
+
+@pytest.mark.parametrize("call, raised, message", [
+    (lambda: Conv2DLayer(np.zeros((2, 3, 5)), np.zeros(2), "relu"),
+     ShapeError, r"conv weights must be \(out, in, k, k\), got \(2, 3, 5\)"),
+    (lambda: Conv2DLayer(np.zeros((2, 3, 5, 5)), np.zeros(3), "relu"),
+     ShapeError, r"conv bias shape \(3,\) does not match 2 filters"),
+    (lambda: _conv_backward((2, 6, 5)),
+     ShapeError, r"conv grad shape \(2, 6, 5\) does not match output \(2, 6, 6\)"),
+    (lambda: maxpool2x2_forward(np.zeros((4, 4))),
+     ShapeError, r"pool input must be \(c, h, w\), got \(4, 4\)"),
+    (lambda: unpool2x2_forward(np.zeros((2, 2)), _switches()),
+     ShapeError, r"unpool input must be \(c, h, w\), got \(2, 2\)"),
+    (lambda: unpool2x2_backward(_switches(), np.zeros((2, 4, 2))),
+     ShapeError, r"unpool grad \(2, 4, 2\) does not match switches \(2, 4, 4\)"),
+    (lambda: DenseLayer(np.zeros(3), np.zeros(3), "relu"),
+     ShapeError, r"dense weights must be \(out, in\), got \(3,\)"),
+    (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(3), "relu"),
+     ShapeError, r"dense bias shape \(3,\) does not match 2 units"),
+    (lambda: _dense_backward((3,)),
+     ShapeError, r"dense grad shape \(3,\) does not match output \(2,\)"),
+    (lambda: softmax(np.zeros(0)),
+     ShapeError, r"non-empty vector, got \(0,\)"),
+    (lambda: softmax(np.zeros((2, 2))),
+     ShapeError, r"non-empty vector, got \(2, 2\)"),
+    (lambda: cross_entropy(np.full((2, 2), 0.25), 0),
+     ShapeError, r"probability vector, got \(2, 2\)"),
+    (lambda: softmax_xent_grad(np.array([0.5, 0.5]), 2),
+     IndexError, r"target 2 out of range for 2 classes"),
+], ids=["conv-weights-rank", "conv-bias", "conv-grad", "pool-rank", "unpool-rank",
+        "unpool-grad", "dense-weights-rank", "dense-bias", "dense-grad", "softmax-empty",
+        "softmax-rank", "xent-rank", "xent-grad-target"])
+def test_input_checks_name_the_bad_shape(call, raised, message):
+    with pytest.raises(raised, match=message):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # softmax and cross-entropy
 # ---------------------------------------------------------------------------
 

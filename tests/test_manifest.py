@@ -38,9 +38,9 @@ def synth_manifest(counts) -> DatasetManifest:
 
 def test_parse_single_row():
     m = parse_manifest("path,label\na.ppm,dog")
-    assert len(m) == 1
+    assert len(m.entries) == 1
     assert m.classes == ("dog",)
-    assert m.entries[0] == ManifestEntry(path="a.ppm", label="dog", class_index=0)
+    assert m.entries[0] == ManifestEntry(path="a.ppm", class_index=0)
 
 
 def test_parse_first_appearance_order():
@@ -57,7 +57,7 @@ def test_parse_class_counts():
 def test_parse_strips_whitespace():
     m = parse_manifest("path,label\n a.ppm , dog \n")
     assert m.entries[0].path == "a.ppm"
-    assert m.entries[0].label == "dog"
+    assert m.classes == ("dog",)
 
 
 def test_parse_rejects_empty_text():
@@ -109,7 +109,7 @@ def test_load_reads_utf8(tmp_path):
 
 def test_sample_manifest_shape():
     m = load_manifest(ASSETS / "sample_manifest.csv")
-    assert len(m) == 120
+    assert len(m.entries) == 120
     assert m.classes == ("vangogh", "rembrandt", "renoir")
     assert m.class_counts() == [40, 40, 40]
 
@@ -188,7 +188,7 @@ def test_kfold_partition_properties(k):
     split = kfold_split(m, k, seed=17)
 
     seen = [i for fold in split.folds for i in fold]
-    assert sorted(seen) == list(range(len(m)))   # exhaustive
+    assert sorted(seen) == list(range(len(m.entries)))   # exhaustive
     assert len(seen) == len(set(seen))           # disjoint
 
     for cls, total in enumerate(counts):
@@ -209,7 +209,7 @@ def test_train_indices_complement():
     split = kfold_split(m, 5, seed=1)
     for f in range(split.k):
         train = split.train_indices(f)
-        assert set(train) | set(split.folds[f]) == set(range(len(m)))
+        assert set(train) | set(split.folds[f]) == set(range(len(m.entries)))
         assert not set(train) & set(split.folds[f])
         assert list(train) == sorted(train)
 

@@ -45,7 +45,7 @@ def test_matrix_validation():
 
 def test_matrix_properties():
     m = cm([[3, 1], [0, 2]])
-    assert m.n_classes == 2
+    assert m.counts.shape == (2, 2)
     assert m.total == 6
 
 

@@ -14,6 +14,7 @@ from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, stage_pa
 from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.data.rng import Rng
 from paintnet.errors import (
+    ArgumentError,
     CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
@@ -23,12 +24,23 @@ from paintnet.persist import (
     KIND_CNN,
     MAGIC,
     VERSION,
-    decode_checkpoint,
-    encode_checkpoint,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
+    write_checkpoint,
 )
+
+
+def encode_checkpoint(kind, config, tensors) -> bytes:
+    """The checkpoint bytes write_checkpoint writes for (kind, config, tensors)."""
+    buf = io.BytesIO()
+    write_checkpoint(buf, kind, config, tensors)
+    return buf.getvalue()
+
+
+def decode_checkpoint(data: bytes):
+    """read_checkpoint over data: (kind, config, named tensors)."""
+    return read_checkpoint(io.BytesIO(data))
 
 
 def small_cae(tied: bool = True, seed: int = 3):
@@ -130,6 +142,38 @@ def test_read_short_of_the_size_it_opened_with_is_truncation():
     assert read_checkpoint(io.BytesIO(blob))[2]["t"].tolist() == list(range(6))
 
 
+def test_header_read_short_of_the_size_it_opened_with_is_truncation():
+    # the same shrinking file, short already on the first header read()
+    class Shrunk(io.BytesIO):
+        def read(self, size=-1):
+            return super().read(size)[:-1]
+
+    blob = encode_checkpoint(KIND_CAE, {}, {})
+    with pytest.raises(CheckpointFormatError, match=r"truncated checkpoint: needed 4 bytes "
+                                                   r"for magic at offset 0"):
+        read_checkpoint(Shrunk(blob))
+
+
+def test_decode_rejects_zero_extent():
+    blob = encode_checkpoint(KIND_CAE, {}, {"t": np.zeros((2, 0))})
+    with pytest.raises(CheckpointFormatError, match="record 't' has zero extent"):
+        decode_checkpoint(blob)
+
+
+@pytest.mark.parametrize("bad", [b'{"a":"\xff\xfe"}', b'{"a":"zz"?'], ids=["not-utf8", "not-json"])
+def test_decode_rejects_unparsable_config_block(bad):
+    # a config block of the same length, so the header's length field still fits
+    blob = encode_checkpoint(KIND_CAE, {"a": "zz"}, {})
+    assert blob[11:] == b'{"a":"zz"}' and len(bad) == len(blob[11:])
+    with pytest.raises(CheckpointFormatError, match="config block does not parse"):
+        decode_checkpoint(blob[:11] + bad)
+
+
+def test_write_rejects_unknown_kind():
+    with pytest.raises(ArgumentError, match="unknown model kind 7"):
+        write_checkpoint(io.BytesIO(), 7, {}, {})
+
+
 def test_decode_rejects_duplicate_names():
     record = encode_checkpoint(KIND_CAE, {}, {"t": np.ones(1)})
     header = encode_checkpoint(KIND_CAE, {}, {})
@@ -170,6 +214,12 @@ def test_save_twice_identical_bytes(tmp_path):
     n2 = save_checkpoint(model, p2)
     assert n1 == n2 == p1.stat().st_size
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_rejects_non_model_and_writes_nothing(tmp_path):
+    with pytest.raises(ArgumentError, match="cannot checkpoint object of type object"):
+        save_checkpoint(object(), tmp_path / "x.dpnt")
+    assert os.listdir(tmp_path) == []
 
 
 def test_save_unwritable_path(tmp_path):
@@ -220,7 +270,8 @@ def test_cae_roundtrip_bit_exact(tmp_path):
 def test_tied_checkpoint_has_no_decoder_kernels(tmp_path):
     path = tmp_path / "cae.dpnt"
     save_checkpoint(small_cae(tied=True), path)
-    _, _, tensors = decode_checkpoint(path.read_bytes())
+    with open(path, "rb") as fh:
+        _, _, tensors = read_checkpoint(fh)
     assert set(tensors) == {"enc1.W", "enc1.b", "enc2.W", "enc2.b",
                             "dec1.b", "dec2.b"}
 
@@ -242,7 +293,8 @@ def test_untied_roundtrip_keeps_kernels(tmp_path):
     model = small_cae(tied=False)
     path = tmp_path / "cae.dpnt"
     save_checkpoint(model, path)
-    _, _, tensors = decode_checkpoint(path.read_bytes())
+    with open(path, "rb") as fh:
+        _, _, tensors = read_checkpoint(fh)
     assert "dec1.W" in tensors and "dec2.W" in tensors
     back = load_checkpoint(path)
     assert not back.config.tied_decoder
@@ -273,7 +325,8 @@ def test_frozen_cnn_still_saves_encoder(tmp_path):
     model = small_cnn(freeze=True)
     path = tmp_path / "cnn.dpnt"
     save_checkpoint(model, path)
-    _, _, tensors = decode_checkpoint(path.read_bytes())
+    with open(path, "rb") as fh:
+        _, _, tensors = read_checkpoint(fh)
     assert {"enc1.W", "enc1.b", "enc2.W", "enc2.b"} <= set(tensors)
     back = load_checkpoint(path)
     assert back.config.freeze_encoder

@@ -33,16 +33,15 @@ def test_seed_wraps_to_64_bits():
 
 
 def test_uniform_unit_interval():
-    rng = Rng(7)
-    xs = [rng.uniform() for _ in range(2000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
+    xs = Rng(7).uniform_array((2000,), 0.0, 1.0)
+    assert ((0.0 <= xs) & (xs < 1.0)).all()
     assert 0.4 < np.mean(xs) < 0.6
 
 
 def test_uniform_in_range():
-    rng = Rng(8)
-    xs = [rng.uniform_in(-3.0, 5.0) for _ in range(500)]
-    assert all(-3.0 <= x < 5.0 for x in xs)
+    xs = Rng(8).uniform_array((500,), -3.0, 5.0)
+    assert ((-3.0 <= xs) & (xs < 5.0)).all()
+    assert 0.5 < np.mean(xs) < 1.5
 
 
 def test_uniform_array_shape_and_determinism():
@@ -57,7 +56,7 @@ def test_uniform_array_row_major_draw_order():
     # flattening the array must reproduce the scalar draw sequence
     arr = Rng(11).uniform_array((3, 4), 0.0, 1.0)
     rng = Rng(11)
-    flat = [rng.uniform_in(0.0, 1.0) for _ in range(12)]
+    flat = [scalar_uniform(rng, 0.0, 1.0) for _ in range(12)]
     np.testing.assert_array_equal(arr.reshape(-1), np.array(flat))
 
 
@@ -131,6 +130,16 @@ _seeds = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
                    st.integers(min_value=2**64 - 64, max_value=2**64 - 1))
 
 
+def scalar_unit(rng):
+    """One draw from [0, 1): the top 53 bits of next_u64(), scaled exactly."""
+    return (rng.next_u64() >> 11) * 2.0 ** -53
+
+
+def scalar_uniform(rng, lo, hi):
+    """One draw from [lo, hi): the exact unit draw, then two IEEE operations."""
+    return lo + (hi - lo) * scalar_unit(rng)
+
+
 def scalar_sample_indices(rng, n, m):
     """Partial Fisher-Yates from one below() call per pick."""
     pool = list(range(n))
@@ -145,7 +154,7 @@ def scalar_sample_indices(rng, n, m):
 def test_uniform_array_equals_scalar_draws(shape, seed):
     block, scalar = Rng(seed), Rng(seed)
     arr = block.uniform_array(shape, -0.75, 1.25)
-    expected = [scalar.uniform_in(-0.75, 1.25) for _ in range(int(np.prod(shape)))]
+    expected = [scalar_uniform(scalar, -0.75, 1.25) for _ in range(int(np.prod(shape)))]
     assert arr.shape == shape and arr.dtype == np.float64
     assert arr.reshape(-1).tolist() == expected
     assert block.next_u64() == scalar.next_u64()
@@ -157,7 +166,7 @@ def test_uniform_array_crosses_chunks_like_scalar_draws(seed, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "_CHUNK", 7)
         arr = block.uniform_array((n,), 0.0, 1.0)
-    assert arr.tolist() == [scalar.uniform() for _ in range(n)]
+    assert arr.tolist() == [scalar_unit(scalar) for _ in range(n)]
     assert block.next_u64() == scalar.next_u64()
 
 
@@ -165,7 +174,7 @@ def test_uniform_array_wraps_the_counter():
     # state 2**64 - 1: the first counter wraps to gamma - 1
     block, scalar = Rng(2**64 - 1), Rng(2**64 - 1)
     arr = block.uniform_array((3,), -1.0, 1.0)
-    assert arr.tolist() == [scalar.uniform_in(-1.0, 1.0) for _ in range(3)]
+    assert arr.tolist() == [scalar_uniform(scalar, -1.0, 1.0) for _ in range(3)]
     assert block.next_u64() == scalar.next_u64()
 
 
