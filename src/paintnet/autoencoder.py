@@ -38,19 +38,20 @@ _INIT_STREAM = 0x11
 _CORRUPT_STREAM = 0xC0
 _ORDER_STREAM = 0x0E
 
+# the architecture past CAEConfig's sizes is fixed: RGB images in and out,
+# relu hidden stages and a sigmoid reconstruction
+INPUT_CHANNELS = 3
+
 
 @dataclass(frozen=True)
 class CAEConfig:
-    """Architecture and corruption settings for the autoencoder."""
+    """Size and corruption settings for the autoencoder."""
 
     input_size: tuple[int, int] = (256, 256)
     conv_channels: tuple[int, int] = (100, 200)
-    input_channels: int = 3
     kernel: int = 5
     tied_decoder: bool = True
     corruption_fraction: float = 0.2
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
 
     def __post_init__(self):
         h, w = self.input_size
@@ -60,8 +61,6 @@ class CAEConfig:
         c1, c2 = self.conv_channels
         if c1 < 1 or c2 < 1:
             raise ConfigError(f"conv channels must be >= 1, got {self.conv_channels}")
-        if self.input_channels < 1:
-            raise ConfigError(f"input channels must be >= 1, got {self.input_channels}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
         if not 0.0 <= self.corruption_fraction <= 1.0:
@@ -76,10 +75,9 @@ def shape_chain(config: CAEConfig) -> list[tuple[int, int, int]]:
     instantiate.
     """
     h, w = config.input_size
-    c0 = config.input_channels
     c1, c2 = config.conv_channels
     return [
-        (c0, h, w),
+        (INPUT_CHANNELS, h, w),
         (c1, h, w),
         (c1, h // 2, w // 2),
         (c2, h // 2, w // 2),
@@ -87,7 +85,7 @@ def shape_chain(config: CAEConfig) -> list[tuple[int, int, int]]:
         (c2, h // 2, w // 2),
         (c1, h // 2, w // 2),
         (c1, h, w),
-        (c0, h, w),
+        (INPUT_CHANNELS, h, w),
     ]
 
 
@@ -153,24 +151,27 @@ def deconv_stage(name: str, conv: Stage, activation: str, tied: bool,
     return Stage(name, "deconv", layer)
 
 
-def encoder_stages(input_channels: int, conv_channels: tuple[int, int], kernel: int,
-                   activation: str, tensor: TensorSource) -> list[Stage]:
+# the CAEConfig settings that shape the encoder a classifier takes over
+ENCODER_FIELDS = ("input_size", "conv_channels", "kernel")
+
+
+def encoder_stages(conv_channels: tuple[int, int], kernel: int,
+                   tensor: TensorSource) -> list[Stage]:
     c1, c2 = conv_channels
-    return [conv_stage("enc1", input_channels, c1, kernel, activation, tensor),
+    return [conv_stage("enc1", INPUT_CHANNELS, c1, kernel, "relu", tensor),
             Stage("pool1", "pool"),
-            conv_stage("enc2", c1, c2, kernel, activation, tensor),
+            conv_stage("enc2", c1, c2, kernel, "relu", tensor),
             Stage("pool2", "pool")]
 
 
 def cae_stages(config: CAEConfig, tensor: TensorSource) -> list[Stage]:
     """The eight autoencoder stages; parameters come from tensor in stage order."""
-    enc = encoder_stages(config.input_channels, config.conv_channels, config.kernel,
-                         config.hidden_activation, tensor)
+    enc = encoder_stages(config.conv_channels, config.kernel, tensor)
     return enc + [
         Stage("unpool2", "unpool", ref="pool2"),
-        deconv_stage("dec2", enc[2], config.hidden_activation, config.tied_decoder, tensor),
+        deconv_stage("dec2", enc[2], "relu", config.tied_decoder, tensor),
         Stage("unpool1", "unpool", ref="pool1"),
-        deconv_stage("dec1", enc[0], config.output_activation, config.tied_decoder, tensor),
+        deconv_stage("dec1", enc[0], "sigmoid", config.tied_decoder, tensor),
     ]
 
 
@@ -267,7 +268,7 @@ class CAEModel(StageStack):
     """Encoder conv/pool pair stack plus its mirrored unpool/deconv decoder."""
 
     def __init__(self, config: CAEConfig, stages: list[Stage]):
-        super().__init__((config.input_channels, *config.input_size), stages)
+        super().__init__((INPUT_CHANNELS, *config.input_size), stages)
         self.config = config
 
     def loss(self, recon: np.ndarray, clean: np.ndarray) -> tuple[float, np.ndarray]:
@@ -285,14 +286,12 @@ def build_cae(config: CAEConfig, seed: int) -> CAEModel:
     return CAEModel(config, cae_stages(config, seeded(Rng.stream(seed, _INIT_STREAM))))
 
 
-def corrupt(image: np.ndarray, fraction: float,
-            rng: Rng) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Zero a random pixel subset across all channels; the original is untouched.
+def corrupt(image: np.ndarray, fraction: float, rng: Rng) -> np.ndarray:
+    """A copy of image with a random pixel subset zeroed across all channels.
 
     Exactly round(fraction * H * W) distinct pixel locations are chosen
-    uniformly without replacement from the seeded generator.  Returns
-    the corrupted copy and the (rows, cols) int arrays of the zeroed
-    pixels, in draw order.
+    uniformly without replacement from the seeded generator, as flat
+    indices row * W + col.  The original is untouched.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"corruption fraction must be in [0, 1], got {fraction}")
@@ -301,11 +300,9 @@ def corrupt(image: np.ndarray, fraction: float,
     h, w = image.shape[1], image.shape[2]
     count = int(np.floor(fraction * h * w + 0.5))
     picks = rng.sample_indices(h * w, count)
-    rows = picks // w
-    cols = picks % w
     out = image.copy()
-    out[:, rows, cols] = 0.0
-    return out, (rows, cols)
+    out.reshape(len(out), h * w)[:, picks] = 0.0
+    return out
 
 
 def reconstruction_loss(reconstruction: np.ndarray, clean_original: np.ndarray) -> float:
@@ -411,8 +408,8 @@ def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: 
 
     def sample(epoch, idx):
         rng = Rng.stream(seed, _CORRUPT_STREAM, epoch, idx)
-        corrupted, _ = corrupt(images[idx], fraction, rng)
-        loss, _, grads = model.loss_and_param_grads(corrupted, images[idx])
+        loss, _, grads = model.loss_and_param_grads(corrupt(images[idx], fraction, rng),
+                                                    images[idx])
         return loss, grads
 
     rows = train("pretrain", model.named_parameters(), len(images), sample, opt, epochs, seed,
@@ -420,22 +417,13 @@ def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: 
     return model, [(epoch, lr, float(np.mean(losses))) for epoch, lr, losses in rows]
 
 
-class EncoderStack(StageStack):
-    """The conv, pool, conv, pool front half of a trained autoencoder."""
-
-    @property
-    def feature_shape(self) -> tuple[int, int, int]:
-        _, h, w = self.input_shape
-        return (self.stages[2].layer.out_channels, h // 4, w // 4)
-
-
-def encoder_extract(model: CAEModel) -> EncoderStack:
-    """The first four stages, rebuilt on copies of the autoencoder's encoder parameters.
+def encoder_extract(model: CAEModel) -> StageStack:
+    """The conv, pool, conv, pool front half, rebuilt on copies of its parameters.
 
     Fine-tuning a classifier built from them never mutates the
     autoencoder they came from.
     """
     c = model.config
     params = {k: p.copy() for k, p in stage_parameters(model.stages[:4]).items()}
-    return EncoderStack(model.input_shape, encoder_stages(
-        c.input_channels, c.conv_channels, c.kernel, c.hidden_activation, stored(params)))
+    return StageStack(model.input_shape,
+                      encoder_stages(c.conv_channels, c.kernel, stored(params)))

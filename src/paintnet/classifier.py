@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import EncoderStack, Stage, StageStack, TensorSource, seeded, train
+from .autoencoder import Stage, StageStack, TensorSource, seeded, train
 from .data.rng import Rng
 from .errors import ConfigError, DataError
 from .layers import (
@@ -32,12 +32,11 @@ _HEAD_INIT_STREAM = 0x1D
 
 @dataclass(frozen=True)
 class CNNConfig:
-    """Classifier head settings."""
+    """Classifier head settings; the hidden layers are relu, the output is softmax."""
 
     fc_sizes: tuple[int, int] = (400, 200)
     n_classes: int = 3
     freeze_encoder: bool = False
-    fc_activation: str = "relu"
 
     def __post_init__(self):
         f1, f2 = self.fc_sizes
@@ -75,18 +74,19 @@ def dense_stage(name: str, n_in: int, n_out: int, activation: str,
                                            tensor(f"{name}.b", (n_out,)), activation))
 
 
-def assemble_cnn(encoder: EncoderStack, config: CNNConfig, tensor: TensorSource) -> CNNModel:
+def assemble_cnn(encoder: StageStack, config: CNNConfig, tensor: TensorSource) -> CNNModel:
     """The encoder's stages plus flatten, fc1, fc2 and out, parameters from tensor."""
-    c, h, w = encoder.feature_shape
+    _, h, w = encoder.input_shape
+    features = encoder.layer("enc2").out_channels * (h // 4) * (w // 4)
     f1, f2 = config.fc_sizes
     head = [Stage("flatten", "flatten"),
-            dense_stage("fc1", c * h * w, f1, config.fc_activation, tensor),
-            dense_stage("fc2", f1, f2, config.fc_activation, tensor),
+            dense_stage("fc1", features, f1, "relu", tensor),
+            dense_stage("fc2", f1, f2, "relu", tensor),
             dense_stage("out", f2, config.n_classes, "identity", tensor)]
     return CNNModel(config, encoder.input_shape, encoder.stages + head)
 
 
-def build_cnn(encoder: EncoderStack, config: CNNConfig, seed: int) -> CNNModel:
+def build_cnn(encoder: StageStack, config: CNNConfig, seed: int) -> CNNModel:
     """Attach a fresh seeded head to a transferred encoder."""
     return assemble_cnn(encoder, config, seeded(Rng.stream(seed, _HEAD_INIT_STREAM)))
 

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import CAEModel, build_cae, encoder_extract, pretrain, shape_chain
+from .autoencoder import (ENCODER_FIELDS, CAEModel, build_cae, encoder_extract, pretrain,
+                          shape_chain)
 from .checks import run_gradcheck
 from .classifier import finetune
 from .config import RunConfig, config_from_dict, load_run_config
@@ -46,8 +47,6 @@ EXIT_CODES = ((DataError, 3), (CheckpointError, 4), (NumericError, 5))
 
 CAE_CHECKPOINT = "cae.dpnt"
 CNN_CHECKPOINT = "cnn.dpnt"
-# the autoencoder settings that shape the encoder a classifier takes over
-ENCODER_FIELDS = ("input_size", "input_channels", "conv_channels", "kernel")
 
 
 def _resolve_config(args) -> RunConfig:

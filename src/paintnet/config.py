@@ -4,7 +4,8 @@ Every field is optional; defaults are the desk-scale profile so the
 whole pipeline stays fast on a CPU.  The full-scale profile (256x256
 inputs, channels (100, 200), fully connected (400, 200)) ships alongside
 and can be selected by pointing --config at it.  Images are always
-read as RGB, so the input channel count (3) is not a setting.
+read as RGB and the activations are fixed, so neither the input channel
+count (3) nor an activation is a setting; every model setting is one here.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ class RunConfig:
     report_dir: str = "reports"
 
     def _matching(self, cls):
-        """cls from the run fields named like its fields; the rest keep their defaults."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)
-                      if f.name in self.__dataclass_fields__})
+        """cls from the run fields named like its fields: each of its fields is a run field."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def cae_config(self) -> CAEConfig:
         return self._matching(CAEConfig)

@@ -18,6 +18,12 @@ records are the model's stage parameters (<stage>.W, <stage>.b), frozen
 ones included.  Tied decoders store no kernel of their own; the tie is
 re-established from the config on load.
 
+The config block holds the model's settings (CAEConfig's fields, or
+CNNConfig's and ENCODER_FIELDS) and the fixed architecture read off its
+layers: input_channels, and hidden_/output_activation or conv_/
+fc_activation.  A load checks the settings as a run config's, then
+rejects a block its rebuilt model does not write back byte for byte.
+
 write_checkpoint and read_checkpoint stream a binary file object record
 by record, each payload written from, or read into, its array's own
 buffer, so neither holds a second copy of a model.
@@ -37,28 +43,35 @@ from typing import BinaryIO
 import numpy as np
 
 from .autoencoder import (
+    ENCODER_FIELDS,
+    INPUT_CHANNELS,
     CAEConfig,
     CAEModel,
-    EncoderStack,
+    StageStack,
     cae_stages,
     encoder_stages,
     stage_parameters,
     stored,
 )
 from .classifier import CNNConfig, CNNModel, assemble_cnn
+from .config import config_from_dict
 from .errors import (
     ArgumentError,
     CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigError,
-    ShapeError,
 )
 
 MAGIC = b"DPNT"
 VERSION = 1
 KIND_CAE = 0
 KIND_CNN = 1
+
+
+def _canonical(value) -> bytes:
+    """value as canonical JSON: sorted keys, compact separators."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def write_checkpoint(fh: BinaryIO, kind: int, config: dict,
@@ -71,7 +84,7 @@ def write_checkpoint(fh: BinaryIO, kind: int, config: dict,
     if kind not in (KIND_CAE, KIND_CNN):
         raise ArgumentError(f"unknown model kind {kind}")
     fh.write(MAGIC + struct.pack("<HB", VERSION, kind))
-    config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    config_bytes = _canonical(config)
     fh.write(struct.pack("<I", len(config_bytes)) + config_bytes)
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], "<f8")
@@ -161,13 +174,16 @@ def read_checkpoint(fh: BinaryIO) -> tuple[int, dict, dict[str, np.ndarray]]:
 
 
 def _config_block(model) -> dict:
-    if isinstance(model, CAEModel):
-        return asdict(model.config)
     enc1 = model.layer("enc1")
+    if isinstance(model, CAEModel):
+        return {**asdict(model.config), "input_channels": enc1.in_channels,
+                "hidden_activation": enc1.activation,
+                "output_activation": model.layer("dec1").activation}
     c, h, w = model.input_shape
     return {**asdict(model.config), "input_size": [h, w], "input_channels": c,
             "conv_channels": [enc1.out_channels, model.layer("enc2").out_channels],
-            "kernel": enc1.kernel, "conv_activation": enc1.activation}
+            "kernel": enc1.kernel, "conv_activation": enc1.activation,
+            "fc_activation": model.layer("fc1").activation}
 
 
 def save_checkpoint(model, path) -> int:
@@ -203,19 +219,17 @@ def _write_atomic(path: Path, write) -> int:
     return size
 
 
-def _dataclass_from(cls, block: dict):
-    return cls(**{f.name: tuple(block[f.name]) if isinstance(block[f.name], list)
-                  else block[f.name] for f in fields(cls)})
-
-
 def _rebuild(kind: int, block: dict, tensor) -> CAEModel | CNNModel:
+    """The model block describes, its settings checked as a run config's."""
+    names = [f.name for f in fields(CAEConfig)] if kind == KIND_CAE \
+        else [f.name for f in fields(CNNConfig)] + list(ENCODER_FIELDS)
+    run = config_from_dict({name: block[name] for name in names}, "checkpoint config block")
     if kind == KIND_CAE:
-        config = _dataclass_from(CAEConfig, block)
+        config = run.cae_config()
         return CAEModel(config, cae_stages(config, tensor))
-    c = block["input_channels"]
-    encoder = EncoderStack((c, *block["input_size"]), encoder_stages(
-        c, tuple(block["conv_channels"]), block["kernel"], block["conv_activation"], tensor))
-    return assemble_cnn(encoder, _dataclass_from(CNNConfig, block), tensor)
+    encoder = StageStack((INPUT_CHANNELS, *run.input_size),
+                         encoder_stages(run.conv_channels, run.kernel, tensor))
+    return assemble_cnn(encoder, run.cnn_config(), tensor)
 
 
 def load_checkpoint(path):
@@ -224,8 +238,8 @@ def load_checkpoint(path):
     The model is rebuilt by the same stage builders as build_cae and
     build_cnn, with every parameter read from the file; no init draws.
     Each record is read into the array the model keeps, so a load holds
-    about one model's bytes.  A record the config does not use is an
-    error, not ignored.
+    about one model's bytes.  A config key or a record the model does
+    not account for is an error, not ignored.
     """
     try:
         with open(path, "rb") as fh:
@@ -234,8 +248,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         model = _rebuild(kind, block, stored(tensors))
-    except (KeyError, TypeError, ValueError, ConfigError, ArgumentError, ShapeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointFormatError(f"config block does not describe a model: {exc!r}") from exc
+    have, want = ({k: _canonical(v) for k, v in b.items()} for b in (block, _config_block(model)))
+    differ = sorted({k for k, _ in have.items() ^ want.items()})
+    if differ:
+        raise CheckpointFormatError(
+            f"config block does not match the model it describes at {', '.join(differ)}")
     unused = sorted(tensors.keys() - stage_parameters(model.stages).keys())
     if unused:
         raise CheckpointFormatError(

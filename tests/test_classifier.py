@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
+from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, shape_chain
 from paintnet.checks import _stack
 from paintnet.classifier import (
     CNNConfig,
@@ -49,7 +49,7 @@ def test_config_rejects_bad_values():
 
 
 def test_flat_features_matches_encoder_output():
-    c, h, w = small_encoder().feature_shape
+    c, h, w = shape_chain(CAEConfig(input_size=(8, 8), conv_channels=(2, 3)))[4]
     # 8x8 input, two 2x2 pools, 3 channels out
     assert (c, h, w) == (3, 2, 2)
     assert small_cnn().layer("fc1").in_size == c * h * w

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import paintnet
-from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
+from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, stage_parameters
 from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.cli import main
-from paintnet.persist import load_checkpoint, save_checkpoint
+from paintnet.persist import (KIND_CNN, _config_block, load_checkpoint, save_checkpoint,
+                              write_checkpoint)
 
 from conftest import ASSETS, broken_builder, write_dataset
 
@@ -366,6 +367,21 @@ def test_evaluate_checkpoint_truncated_on_disk_exits_4(tmp_path):
     assert code == 4
     assert re.fullmatch(r"error: truncated checkpoint: needed \d+ bytes for record 'out\.b' "
                         r"payload at offset \d+\n", err)
+
+
+def test_evaluate_mistyped_config_block_exits_4_without_traceback(tmp_path):
+    # a float n_classes once loaded, then died in metrics.evaluate with a TypeError
+    cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3), seed=0)
+    model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=1)
+    ckpt = tmp_path / "cnn.dpnt"
+    with open(ckpt, "wb") as fh:
+        write_checkpoint(fh, KIND_CNN, {**_config_block(model), "n_classes": 3.0},
+                         stage_parameters(model.stages))
+    cfg = write_config(tmp_path)
+    code, _, err = run_cli("evaluate", "--config", str(cfg), "--checkpoint", str(ckpt))
+    assert code == 4
+    assert err == ("error: config block does not describe a model: ConfigError('checkpoint "
+                   "config block: n_classes must be an integer, got 3.0')\n")
 
 
 def test_evaluate_rejects_autoencoder_checkpoint(tmp_path):

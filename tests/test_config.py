@@ -80,6 +80,8 @@ def test_sub_configs_consistent():
                (cfg.cnn_config(), ("fc_sizes", "n_classes", "freeze_encoder")),
                (cfg.sgd_config(), ("lr0", "decay", "batch_size"))]
     for sub, names in carried:
+        # every sub-config field is a run field: none keeps a default of its own
+        assert tuple(f.name for f in fields(sub)) == names
         for name in names:
             assert getattr(sub, name) == getattr(cfg, name), name
 

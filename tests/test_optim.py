@@ -154,13 +154,24 @@ def test_grad_check_linear_model_near_exact():
 
 
 def test_grad_check_error_shrinks_with_eps_on_smooth_model():
-    from paintnet.autoencoder import CAEConfig, build_cae
+    from paintnet.autoencoder import (_INIT_STREAM, CAEModel, Stage, StageStack, conv_stage,
+                                      deconv_stage, seeded)
     from paintnet.checks import _stack
     from paintnet.data.rng import Rng
 
-    config = CAEConfig(input_size=(4, 4), conv_channels=(1, 2), input_channels=1,
-                       hidden_activation="sigmoid", output_activation="sigmoid")
-    model = build_cae(config, seed=3)
+    class SmoothCAE(StageStack):
+        loss = CAEModel.loss
+
+    # a one-channel tied autoencoder, sigmoid at every stage
+    tensor = seeded(Rng.stream(3, _INIT_STREAM))
+    enc1 = conv_stage("enc1", 1, 1, 5, "sigmoid", tensor)
+    enc2 = conv_stage("enc2", 1, 2, 5, "sigmoid", tensor)
+    model = SmoothCAE((1, 4, 4), [
+        enc1, Stage("pool1", "pool"), enc2, Stage("pool2", "pool"),
+        Stage("unpool2", "unpool", ref="pool2"),
+        deconv_stage("dec2", enc2, "sigmoid", True, tensor),
+        Stage("unpool1", "unpool", ref="pool1"),
+        deconv_stage("dec1", enc1, "sigmoid", True, tensor)])
     x = Rng(15).uniform_array((1, 4, 4), 0.0, 1.0)
     clean = Rng(16).uniform_array((1, 4, 4), 0.0, 1.0)
     # truncation-dominated regime: quadratic decrease

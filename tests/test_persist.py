@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from paintnet.persist import (
     KIND_CNN,
     MAGIC,
     VERSION,
+    _config_block,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -85,7 +87,6 @@ def test_records_in_sorted_name_order():
 
 def test_encode_is_deterministic():
     model = small_cae()
-    from paintnet.persist import _config_block
     a = encode_checkpoint(KIND_CAE, _config_block(model), stage_parameters(model.stages))
     b = encode_checkpoint(KIND_CAE, _config_block(model), stage_parameters(model.stages))
     assert a == b
@@ -350,7 +351,6 @@ def test_load_missing_file(tmp_path):
 
 def test_load_rejects_tensor_shape_mismatch(tmp_path):
     model = small_cae()
-    from paintnet.persist import _config_block
     tensors = stage_parameters(model.stages)
     tensors["enc1.b"] = np.zeros(7)  # wrong extent for 2 channels
     blob = encode_checkpoint(KIND_CAE, _config_block(model), tensors)
@@ -362,7 +362,6 @@ def test_load_rejects_tensor_shape_mismatch(tmp_path):
 
 def test_load_rejects_missing_tensor(tmp_path):
     model = small_cae()
-    from paintnet.persist import _config_block
     tensors = stage_parameters(model.stages)
     del tensors["enc2.W"]
     blob = encode_checkpoint(KIND_CAE, _config_block(model), tensors)
@@ -375,7 +374,6 @@ def test_load_rejects_missing_tensor(tmp_path):
 def test_load_rejects_unused_records(tmp_path):
     # a tied decoder's kernel is its encoder's, so a dec1.W record is unused too
     model = small_cae(tied=True)
-    from paintnet.persist import _config_block
     tensors = {**stage_parameters(model.stages), "dec1.W": np.ones((3, 2, 5, 5)),
                "junk": np.ones(1)}
     path = tmp_path / "bad.dpnt"
@@ -387,10 +385,66 @@ def test_load_rejects_unused_records(tmp_path):
 def test_load_rejects_incomplete_config_block(tmp_path):
     # a missing config field must not fall back to a dataclass default
     model = small_cae()
-    from paintnet.persist import _config_block
     block = _config_block(model)
     del block["kernel"]
     path = tmp_path / "bad.dpnt"
     path.write_bytes(encode_checkpoint(KIND_CAE, block, stage_parameters(model.stages)))
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_load_rejects_non_object_config_block(tmp_path):
+    path = tmp_path / "bad.dpnt"
+    path.write_bytes(encode_checkpoint(KIND_CAE, [8, 8], {}))
+    with pytest.raises(CheckpointFormatError, match="config block does not describe a model"):
+        load_checkpoint(path)
+
+
+MODELS = {
+    "cae-tied": lambda: small_cae(tied=True),
+    "cae-untied": lambda: small_cae(tied=False),
+    "cnn": lambda: small_cnn(freeze=False),
+    "cnn-frozen": lambda: small_cnn(freeze=True),
+}
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_load_then_save_rewrites_the_same_bytes(tmp_path, name):
+    first, second = tmp_path / "first.dpnt", tmp_path / "second.dpnt"
+    save_checkpoint(MODELS[name](), first)
+    save_checkpoint(load_checkpoint(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _not_its_model(keys):
+    return f"config block does not match the model it describes at {keys}"
+
+
+@pytest.mark.parametrize("name, changes, message", [
+    ("cnn", {"n_classes": 3.0}, "n_classes must be an integer, got 3.0"),
+    ("cnn", {"freeze_encoder": "no"}, "freeze_encoder must be a boolean, got 'no'"),
+    ("cnn", {"kernel": 5.0}, "kernel must be an integer, got 5.0"),
+    ("cae-tied", {"tied_decoder": 1}, "tied_decoder must be a boolean, got 1"),
+    ("cae-tied", {"kernel": 4}, "kernel must be odd and positive, got 4"),
+    ("cae-tied", {"hidden_activation": "sigmoid"}, _not_its_model("hidden_activation")),
+    ("cae-untied", {"output_activation": "relu"}, _not_its_model("output_activation")),
+    ("cnn", {"fc_activation": "sigmoid"}, _not_its_model("fc_activation")),
+    ("cnn", {"conv_activation": "identity"}, _not_its_model("conv_activation")),
+    ("cae-tied", {"input_channels": 1}, _not_its_model("input_channels")),
+    # a float setting as an integer reads as the float, and writes back differently
+    ("cae-tied", {"corruption_fraction": 0}, _not_its_model("corruption_fraction")),
+    ("cae-tied", {"extra": 1}, _not_its_model("extra")),
+    ("cnn", {"extra": None, "fc_activation": "sigmoid"}, _not_its_model("extra, fc_activation")),
+    ("cae-tied", {"fc_sizes": [8, 5]}, _not_its_model("fc_sizes")),
+], ids=["float-n_classes", "string-freeze_encoder", "float-kernel", "int-tied_decoder",
+        "even-kernel", "sigmoid-hidden", "relu-output", "sigmoid-fc", "identity-conv",
+        "one-input-channel", "int-corruption_fraction", "extra-key", "null-extra-key",
+        "classifier-key-in-autoencoder"])
+def test_load_rejects_config_block_it_would_not_write(tmp_path, name, changes, message):
+    model = MODELS[name]()
+    kind = KIND_CNN if name.startswith("cnn") else KIND_CAE
+    path = tmp_path / "bad.dpnt"
+    path.write_bytes(encode_checkpoint(kind, {**_config_block(model), **changes},
+                                       stage_parameters(model.stages)))
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
         load_checkpoint(path)
