@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data.rng import Rng
+from .data.rng import Rng, Stream
 from .errors import CheckpointFormatError, ConfigError, DataError, NumericError, ShapeError
 from .layers import (
     Conv2DLayer,
@@ -32,11 +32,6 @@ from .layers import (
     unpool2x2_forward,
 )
 from .optim import SGDConfig, lr_at_epoch, sgd_step
-
-# substream tags keeping init, corruption, and shuffle draws independent
-_INIT_STREAM = 0x11
-_CORRUPT_STREAM = 0xC0
-_ORDER_STREAM = 0x0E
 
 # the architecture past CAEConfig's sizes is fixed: RGB images in and out,
 # relu hidden stages and a sigmoid reconstruction
@@ -283,7 +278,7 @@ def build_cae(config: CAEConfig, seed: int) -> CAEModel:
     the draw order (conv1, conv2, then decoder kernels when untied) is
     fixed so a seed pins every parameter.
     """
-    return CAEModel(config, cae_stages(config, seeded(Rng.stream(seed, _INIT_STREAM))))
+    return CAEModel(config, cae_stages(config, seeded(Rng.stream(seed, Stream.INIT))))
 
 
 def corrupt(image: np.ndarray, fraction: float, rng: Rng) -> np.ndarray:
@@ -357,7 +352,7 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
         for epoch in range(epochs):
             lr = lr_at_epoch(opt, epoch)
             order = list(range(count))
-            Rng.stream(seed, _ORDER_STREAM, epoch).shuffle(order)
+            Rng.stream(seed, Stream.ORDER, epoch).shuffle(order)
             stats = []
             for batch_index, start in enumerate(range(0, count, opt.batch_size)):
                 batch = order[start:start + opt.batch_size]
@@ -407,7 +402,7 @@ def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: 
     fraction = model.config.corruption_fraction
 
     def sample(epoch, idx):
-        rng = Rng.stream(seed, _CORRUPT_STREAM, epoch, idx)
+        rng = Rng.stream(seed, Stream.CORRUPT, epoch, idx)
         loss, _, grads = model.loss_and_param_grads(corrupt(images[idx], fraction, rng),
                                                     images[idx])
         return loss, grads

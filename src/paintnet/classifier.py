@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import Stage, StageStack, TensorSource, seeded, train
-from .data.rng import Rng
+from .data.rng import Rng, Stream
 from .errors import ConfigError, DataError
 from .layers import (
     DenseLayer,
@@ -26,8 +26,6 @@ from .optim import SGDConfig
 # but perfbench/child.py patches these two names on this module
 from .layers import maxpool2x2_backward  # noqa: F401
 from .optim import sgd_step  # noqa: F401
-
-_HEAD_INIT_STREAM = 0x1D
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def assemble_cnn(encoder: StageStack, config: CNNConfig, tensor: TensorSource) -
 
 def build_cnn(encoder: StageStack, config: CNNConfig, seed: int) -> CNNModel:
     """Attach a fresh seeded head to a transferred encoder."""
-    return assemble_cnn(encoder, config, seeded(Rng.stream(seed, _HEAD_INIT_STREAM)))
+    return assemble_cnn(encoder, config, seeded(Rng.stream(seed, Stream.HEAD_INIT)))
 
 
 def predict(model: CNNModel, x: np.ndarray) -> int:

@@ -26,7 +26,7 @@ from .classifier import finetune
 from .config import RunConfig, config_from_dict, load_run_config
 from .data.image import decode_ppm, resample_bilinear, to_tensor
 from .data.manifest import DatasetManifest, kfold_split, load_manifest
-from .data.rng import Rng
+from .data.rng import Rng, Stream
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -190,7 +190,7 @@ def cmd_crossval(config: RunConfig, args) -> int:
     samples = _load_samples(manifest, config.data_root, config.input_size)
     fold_accuracies = []
     for fold in range(split.k):
-        fold_seed = Rng.stream(config.seed, 0xCF, fold).next_u64()
+        fold_seed = Rng.stream(config.seed, Stream.FOLD, fold).next_u64()
         model, _ = _fit(config, cae, [samples[i] for i in split.train_indices(fold)], fold_seed)
         acc = accuracy(evaluate(model, [samples[i] for i in split.folds[fold]]))
         fold_accuracies.append(acc)

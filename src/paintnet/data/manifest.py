@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ArgumentError, ManifestError
-from .rng import Rng
+from .rng import Rng, Stream
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def kfold_split(manifest: DatasetManifest, k: int, seed: int) -> FoldSplit:
     folds: list[list[int]] = [[] for _ in range(k)]
     for class_index in range(len(manifest.classes)):
         members = [i for i, e in enumerate(manifest.entries) if e.class_index == class_index]
-        Rng.stream(seed, class_index).shuffle(members)
+        Rng.stream(seed, Stream.SPLIT, class_index).shuffle(members)
         for position, idx in enumerate(members):
             folds[position % k].append(idx)
     return FoldSplit(folds=tuple(tuple(sorted(f)) for f in folds))

@@ -17,6 +17,8 @@ that drew one value at a time reproduce bit for bit.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 from ..errors import ArgumentError
@@ -33,6 +35,23 @@ _INV_2_53 = 1.0 / (1 << 53)
 # uniform_array fills its output this many draws at a time: the scratch
 # beside the output is one chunk (128 KiB of uint64), not a second copy
 _CHUNK = 1 << 14
+
+
+@enum.unique
+class Stream(enum.IntEnum):
+    """First salts of Rng.stream, one per purpose, so no two purposes share draws.
+
+    Every seeded draw of a run derives its stream from the run seed and
+    one of these; the later salts (epoch, sample, class, fold) index
+    within a purpose.
+    """
+
+    ORDER = 0x0E      # per-epoch sample order, (ORDER, epoch)
+    INIT = 0x11       # autoencoder weights
+    HEAD_INIT = 0x1D  # classifier head weights
+    SPLIT = 0x5B      # per-class fold deals, (SPLIT, class index)
+    CORRUPT = 0xC0    # corruption masks, (CORRUPT, epoch, sample)
+    FOLD = 0xCF       # crossval's per-fold seeds, (FOLD, fold)
 
 
 class Rng:

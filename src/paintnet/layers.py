@@ -11,21 +11,27 @@ decoder layer is defined relative to that convention: swap the channel
 axes and flip both spatial axes.  It is a numpy view of the encoder's
 kernel, not a copy, so an in-place update of one is an update of both.
 
-The correlation shifts and accumulates (the kn2row scheme): the padded
-input lives in one flat buffer per channel, each kernel offset is one
-matrix product on a strided view of it, and no offset copies a window.
-Every output element is the same dot product over input channels,
-summed in the same offset order, as a product per copied window gives,
-so the bits match too, except where the BLAS rounds the last few
-columns of a product in an edge kernel and only one layout puts that
-element there.  It sums its columns in blocks that keep the
-accumulator in cache across the k*k offsets, but only where that moves
-no column out of or into an edge kernel: where the column count is a
-multiple of 8.  The input gradient runs the same correlation (see
-_SameCorrelation.backward).  The kernel gradient transposes the
-padded input once, channels last, and takes one product per offset on a
-reused copy of its window, the operand tensordot would build; at k = 1
-it keeps tensordot's uncopied view, which rounds differently.
+The correlation pads its input once into one flat buffer per channel,
+where the window of each kernel offset is a strided view, and takes one
+of two forms (see _corr2d).  An input of at most GATHER_CHANNELS
+channels, the RGB image of the first conv and the map gradient of the
+last decoder, gathers each column block of every window into one buffer
+and takes one product per block (im2col).  Other inputs shift and
+accumulate (kn2row): each kernel offset is one matrix product on the
+uncopied view.  Every output element of that form is the same dot
+product over input channels, summed in the same offset order, as a
+product per copied window gives, so the bits match too, except where
+the BLAS rounds the last few columns of a product in an edge kernel and
+only one layout puts that element there.  It sums its columns in blocks
+that keep the accumulator in cache across the k*k offsets, but only
+where that moves no column out of or into an edge kernel: where the
+column count is a multiple of 8.  The input gradient runs the same
+correlation (see _SameCorrelation.backward).  The kernel gradient reads
+the forward's flat buffer where it lies: gathered blocks where it has
+at least GRAD_GATHER_RATIO output channels per input channel, one
+product per offset on the uncopied view elsewhere.  Both it and the
+gathered correlation sum in another order than a product per copied
+window, so their last bits differ from that reference.
 
 Each layer has one constructor, (weights, bias, activation name), and
 keeps the arrays it is given; ACTIVATIONS maps each name to its function
@@ -60,17 +66,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_derivative(z: np.ndarray) -> np.ndarray:
+def _sigmoid_derivative(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     s = _sigmoid(z)
-    return s * (1.0 - s)
+    return np.multiply(s, 1.0 - s, out=out)
 
 
-# activation name -> (function, derivative at the pre-activation z);
-# relu's derivative is the subgradient 0 at z = 0
+def _one(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = 1.0
+    return out
+
+
+# activation name -> (function, derivative at the pre-activation z).  The
+# derivative is written into out, a float64 array of z's shape, and
+# returned, so a backward that fills a layout of its own makes no
+# map-sized temporary.  relu's derivative is the subgradient 0 at z = 0
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, out: np.greater(z, 0.0, out=out)),
     "sigmoid": (_sigmoid, _sigmoid_derivative),
-    "identity": (lambda z: z, np.ones_like),
+    "identity": (lambda z: z, _one),
 }
 
 
@@ -90,24 +103,71 @@ def init_weights(shape: tuple[int, ...], rng: Rng) -> np.ndarray:
 # cross-correlation primitives shared by conv and deconv
 # ---------------------------------------------------------------------------
 
-# bytes of the accumulator and product buffers one column block of _corr2d
-# may take together: half of a 2 MiB per-core L2
+# bytes of the scratch one column block of _corr2d or _corr2d_weight_grad
+# may take: half of a 2 MiB per-core L2
 BLOCK_BYTES = 1 << 20
+
+# a correlation whose input has at most this many channels gathers its
+# windows (see _corr2d)
+GATHER_CHANNELS = 4
+
+# a kernel gradient with at least this many output channels per input
+# channel gathers its windows (see _corr2d_weight_grad)
+GRAD_GATHER_RATIO = 4
+
+
+def _block_width(column_bytes: int) -> int:
+    """Columns per block: a multiple of 64 whose column_bytes each fit BLOCK_BYTES."""
+    return max(64, BLOCK_BYTES // column_bytes // 64 * 64)
+
+
+def _gathered_blocks(flat: np.ndarray, k: int, wp: int, n: int):
+    """(b0, b, columns) for each block of the first n window columns of flat.
+
+    columns is (k*k*c, b), and its row (u*k + v)*c + ch is
+    flat[ch, b0 + u*wp + v:][:b]: the k*k shifted views of the buffer,
+    offsets in ascending order, filled by one copy from a strided view
+    of it.  Every block reuses one buffer, so it is valid only until the
+    next block.  Block widths are multiples of 64, sized so that the
+    buffer and the copy the BLAS packs of it fit BLOCK_BYTES together.
+    """
+    c = flat.shape[0]
+    rows = k * k * c
+    block = _block_width(16 * rows)
+    buf = np.empty(rows * min(block, n), dtype=np.float64)
+    s0, s1 = flat.strides
+    for b0 in range(0, n, block):
+        b = min(block, n - b0)
+        columns = buf[:rows * b].reshape(k, k, c, b)
+        columns[...] = np.lib.stride_tricks.as_strided(
+            flat[:, b0:], (k, k, c, b), (wp * s1, s1, s0, s1), writeable=False)
+        yield b0, b, columns.reshape(rows, b)
 
 
 def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, padded x).
+    """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, flat padded x).
 
     x is zero-padded into one flat (c, hp*wp + k - 1) buffer, so the
     input window of kernel offset (u, v) is the strided view starting at
-    u*wp + v, and each offset is one matrix product with no copy.  Every
-    output row then runs wp - w wrap columns past the image, which are
-    dropped.  The padded x returned is a view of the buffer.
+    u*wp + v.  Every output row then runs wp - w wrap columns past the
+    image, which are dropped.  The buffer is returned for the kernel
+    gradient.  The h*wp output columns are taken in one of two forms.
 
-    The h*wp output columns are summed in blocks whose width is a
-    multiple of 64, sized so that one contiguous accumulator and one
-    product buffer fit BLOCK_BYTES; all k*k offsets of a block reuse
-    those two buffers, so the sums stay in cache across offsets.  The
+    An input of at most GATHER_CHANNELS channels gathers (im2col in
+    blocks): each column block of every window is copied into one
+    (k*k*c, b) buffer (_gathered_blocks), and the block is one product
+    with the (o, k*k*c) kernel.  Shifting and adding would sum only c
+    terms per product, too few to keep the BLAS busy: a 3-channel input
+    gathered measured 2.3x faster at 64x64 and 4.5x at 128x128.  That is
+    the first conv of an RGB model, and the input gradient of its last
+    decoder.  An 8-channel input gathered measured 12-15% faster into 16
+    channels but 1.35x slower into 3 (the desk profile's second conv and
+    last decoder), so the rule stops short of 8.
+
+    Other inputs shift and add (kn2row): each offset is one product on
+    the uncopied window, and all k*k offsets of a block sum in one
+    contiguous accumulator beside one product buffer, which fit
+    BLOCK_BYTES together, so the sums stay in cache across offsets.  The
     offset order, and so every sum, is the unblocked one.  The BLAS
     rounds the last h*wp mod 8 columns of a product in an edge kernel,
     and a block would move those columns to another place, so blocks
@@ -121,14 +181,19 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     hp, wp = h + 2 * pad, w + 2 * pad
     n = h * wp
     flat = np.zeros((c, hp * wp + k - 1), dtype=np.float64)
-    xp = flat[:, :hp * wp].reshape(c, hp, wp)
-    xp[:, pad:pad + h, pad:pad + w] = x
+    flat[:, :hp * wp].reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w] = x
+    out = np.empty((o, n), dtype=np.float64)
+    if c <= GATHER_CHANNELS:
+        # (out, k, k, in): the gathered rows' order
+        wg = weights.transpose(0, 2, 3, 1).reshape(o, k * k * c)
+        for b0, b, columns in _gathered_blocks(flat, k, wp, n):
+            np.matmul(wg, columns, out=out[:, b0:b0 + b])
+        return out.reshape(o, h, wp)[:, :, :w], flat
     # (k, k, out, in): a C-contiguous block per offset, which matmul hands to BLAS
     wk = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
-    block = max(64, BLOCK_BYTES // (16 * o) // 64 * 64)
+    block = _block_width(16 * o)
     if block >= n or n % 8:
         block = n
-    out = np.empty((o, n), dtype=np.float64)
     # one block sums in out itself; several sum in a contiguous accumulator,
     # since summing in strided column blocks of out measured no faster than one block
     acc_buf = out.reshape(-1) if block == n else np.empty(o * block, dtype=np.float64)
@@ -145,33 +210,46 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 acc += prod
         if block < n:
             out[:, b0:b0 + b] = acc
-    return out.reshape(o, h, wp)[:, :, :w], xp
+    return out.reshape(o, h, wp)[:, :, :w], flat
 
 
-def _corr2d_weight_grad(xp: np.ndarray, gz: np.ndarray, k: int) -> np.ndarray:
-    """Gradient of _corr2d's map with respect to its kernel, for map gradient gz.
+def _corr2d_weight_grad(flat: np.ndarray, gzp: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of _corr2d's map with respect to its kernel.
 
-    Each offset (u, v) is one product of gz, as (o, h*w), with the
-    window of the padded input at (u, v), as (h*w, c).  The padded
-    input is transposed once to (hp, wp, c), and each window is copied
-    into one reused (h, w, c) buffer: the C-ordered operand tensordot
-    would copy it into.  At k = 1 the window is all of xp, which
-    tensordot passes to the BLAS as a transposed view with no copy; a
-    C-ordered copy rounds differently, so that case stays tensordot's.
+    flat is _corr2d's padded input buffer, and gzp the map gradient laid
+    out as (o, h, wp) with zeros in its wp - w wrap columns: column
+    i*wp + j of gzp meets column i*wp + j + u*wp + v of flat at offset
+    (u, v), and the wrap columns add zeros.  Either form reads flat
+    where it lies, with no copied window.
+
+    A gradient with at least GRAD_GATHER_RATIO output channels per input
+    channel gathers the same column blocks as _corr2d and sums one
+    (o, k*k*c) product per block.  Each gathered column is then shared
+    by many rows: the first conv's gradient at 128x128 (3 to 32
+    channels) measured 4.5x faster than with one product per offset.
+    With fewer rows per input channel gathering saved at most 4% (the
+    mid profile's second conv) and cost up to 1.8x (the desk decoders).
+
+    Other gradients take one product per offset on the uncopied window:
+    gzp as (o, h*wp) times flat's (h*wp, c) transposed view at u*wp + v.
     """
-    o, h, w = gz.shape
-    c = xp.shape[0]
-    if k == 1:
-        return np.tensordot(gz, xp, axes=([1, 2], [1, 2]))[:, :, None, None]
-    gw = np.empty((o, c, k, k), dtype=np.float64)
-    g2 = gz.reshape(o, h * w)
-    xt = np.ascontiguousarray(xp.transpose(1, 2, 0))
-    window = np.empty((h, w, c), dtype=np.float64)
+    o, h, wp = gzp.shape
+    c = flat.shape[0]
+    n = h * wp
+    g2 = gzp.reshape(o, n)
+    if o >= GRAD_GATHER_RATIO * c:
+        gw = np.zeros((o, k * k * c), dtype=np.float64)
+        prod = np.empty_like(gw)
+        for b0, b, columns in _gathered_blocks(flat, k, wp, n):
+            np.matmul(g2[:, b0:b0 + b], columns.T, out=prod)
+            gw += prod
+        return np.ascontiguousarray(gw.reshape(o, k, k, c).transpose(0, 3, 1, 2))
+    gwk = np.empty((k, k, o, c), dtype=np.float64)
     for u in range(k):
         for v in range(k):
-            window[...] = xt[u:u + h, v:v + w]
-            gw[:, :, u, v] = np.dot(g2, window.reshape(h * w, c))
-    return gw
+            s = u * wp + v
+            np.matmul(g2, flat[:, s:s + n].T, out=gwk[u, v])
+    return np.ascontiguousarray(gwk.transpose(2, 3, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +305,23 @@ class _SameCorrelation:
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ShapeError(
                 f"{self.kind} input must be ({self.in_channels}, h, w), got {x.shape}")
-        out, xp = _corr2d(x, self.weights)
+        out, flat = _corr2d(x, self.weights)
         z = out + self.bias[:, None, None]
-        return ACTIVATIONS[self.activation][0](z), (xp, z)
+        return ACTIVATIONS[self.activation][0](z), (flat, z)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """(input gradient, or None unless input_grad, {"W", "b"} gradients)."""
-        xp, z = cache
+        flat, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(
                 f"{self.kind} grad shape {grad_out.shape} does not match output {z.shape}")
-        gz = grad_out * ACTIVATIONS[self.activation][1](z)
+        o, h, w = z.shape
+        # gz in place inside its zero-wrap layout, as _corr2d_weight_grad reads it
+        gzp = np.zeros((o, h, w + self.kernel - 1), dtype=np.float64)
+        gz = ACTIVATIONS[self.activation][1](z, gzp[:, :, :w])
+        gz *= grad_out
         grads = {
-            "W": _corr2d_weight_grad(xp, gz, self.kernel),
+            "W": _corr2d_weight_grad(flat, gzp, self.kernel),
             "b": gz.sum(axis=(1, 2)),
         }
         if not input_grad:
@@ -435,7 +517,8 @@ class DenseLayer:
         x, z = cache
         if grad_out.shape != z.shape:
             raise ShapeError(f"dense grad shape {grad_out.shape} does not match output {z.shape}")
-        gz = grad_out * ACTIVATIONS[self.activation][1](z)
+        gz = ACTIVATIONS[self.activation][1](z, np.empty_like(z))
+        gz *= grad_out
         grads = {"W": Rank1(gz, x), "b": gz.copy()}
         return self.weights.T @ gz if input_grad else None, grads
 

@@ -33,33 +33,33 @@ from conftest import write_dataset
 
 PRETRAIN = {
     # tied: (cae.dpnt, pretrain_loss.csv)
-    True: ("572eac7e219e1be574e03a831d269072d7fcc9413e4b2f72268942199a26489d",
+    True: ("7a2819b41abb30baaa73bdc458c766301a66533e419288e93f75527b565ef305",
            "16a0f0cf6111b68ca72c1037cbcec5eece6934715b46bc18055389be94c66a86"),
-    False: ("d0453edb43437414155bbe96a596d145b2c45e73375917ec1ebb389f6c596ff2",
+    False: ("d68842345e6b215aedabdc7945e7b51eba95f69130f746d66589201f671fbd30",
             "18a27adc8a8ed4c1e1d98e54b3b06801f7f735e4ae5671c3d8fc0749a10cb085"),
 }
 
 FINETUNE = {
     # freeze_encoder: (cnn.dpnt, finetune_loss.csv)
-    False: ("475cbeb036d8fd8cbb3655038ca64de84eb7e00a78ba0f6e49ac69733b743dd2",
+    False: ("f6f963a93e9b64a732d9e55463ac82fe258c446ddbb0f0da660b30c7c65d73c9",
             "181f8594fc037d43fd3bed99889f991284270dddf40cfdd3ac3380361382048b"),
-    True: ("1951de669316145f699a503e35a9157c2e06c6f6fb09b302ad35c56614b6cc40",
+    True: ("f5863a31a55a529a18ea50591769ec7fa089db09d3b38c6bcd9fe7a168cc3787",
            "9c692499e2a942efb97401619677b44dcbb513a1bc41950a0e6a0a6059e9acfb"),
 }
 
 CROSSVAL = {
-    "fold_00.dpnt": "21e92aef1dbc6ebf509990d8f0e0941ec44d638c0c48ce305708d7ca900c1bf0",
-    "fold_01.dpnt": "16a921f97d2a8643c4abea7b3cfb19bb019af0e7cf732ab7537fe48bcccad49b",
-    "fold_02.dpnt": "bec01d22a7339a82da449ccdc97cf0d90f870dd98c2e3ee8f6d0aecaf28f49b1",
+    "fold_00.dpnt": "e65aa5cec0a089d6b4c67c15be6de6ab9f4c0d6553d8df0ab79ccb9a47707e6e",
+    "fold_01.dpnt": "fbb2f68fdbe433e6b353abe4f7d446e6b425c575ff08fa21929eff1855717fdd",
+    "fold_02.dpnt": "3af70e76c5646abde2a5b4fb90f8b4f77bdd16eac3b33e26709a11ca85283812",
     "crossval_report.csv": "6c35aa122cd6b67e1965ae795977fb26ba56d79ee1c38222571fffa56ae1dfc6",
 }
 
 # CNNModel.forward probabilities of a 16x24 classifier on a seeded battery:
 # the forward-only path evaluate runs, through pools of 16x24 and 8x12 maps
-FORWARD_16x24 = "1005dfad2348c6dd4c261f800caac04b1f9ba64d51d105f273f72d30e7387781"
+FORWARD_16x24 = "437e84999d12cc825af08e0f4a33dd7883cbcb7d149168ba34b23f9c680ec685"
 
 # stdout of `paintnet gradcheck --scale small`
-GRADCHECK_SMALL = "f05cda0d2ee96183e4e58805f8b1d98fbc2d500df5cd81f5b1106686277e14da"
+GRADCHECK_SMALL = "f28b6249980373d6fac2abc93c1c606637482641b3030fce918b1efeb792ec2a"
 
 # the OpenBLAS core (blas_core()) every digest above was recorded under
 RECORDED_CORE = "SkylakeX"

@@ -7,7 +7,10 @@ replaced is kept here too, as the reference they match byte for byte,
 and so are the unblocked correlation and tensordot kernel gradient that
 the cache-blocked forms replaced, the scatter input gradient that the
 reversed correlation replaced, the split-by-sign sigmoid, and the
-argmax pooling that the window-plane tournament replaced.
+argmax pooling that the window-plane tournament replaced.  The gathered
+correlation of a few-channel input and every kernel gradient sum in
+another order, so they are held to the same references within
+rtol 1e-12 and atol 1e-12 times the reference's largest magnitude.
 """
 
 import math
@@ -96,7 +99,9 @@ def test_activation_unknown_kind():
 
 
 def test_relu_derivative_zero_at_kink():
-    d = ACTIVATIONS["relu"][1](np.array([-1.0, 0.0, 1.0]))
+    out = np.full(3, np.nan)
+    d = ACTIVATIONS["relu"][1](np.array([-1.0, 0.0, 1.0]), out)
+    assert d is out
     npt.assert_array_equal(d, [0.0, 0.0, 1.0])
 
 
@@ -131,7 +136,7 @@ def test_sigmoid_bytes_match_split_by_sign():
     sigmoid, derivative = ACTIVATIONS["sigmoid"]
     ref = split_sigmoid(z)
     assert_same_bytes(sigmoid(z), ref)
-    assert_same_bytes(derivative(z), ref * (1.0 - ref))
+    assert_same_bytes(derivative(z, np.empty_like(z)), ref * (1.0 - ref))
 
 
 def test_activation_derivatives_match_finite_differences():
@@ -140,7 +145,9 @@ def test_activation_derivatives_match_finite_differences():
     eps = 1e-6
     for kind, (apply, derivative) in ACTIVATIONS.items():
         numeric = (apply(z + eps) - apply(z - eps)) / (2 * eps)
-        analytic = derivative(z)
+        out = np.full_like(z, np.nan)
+        analytic = derivative(z, out)
+        assert analytic is out, kind
         npt.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9, err_msg=kind)
 
 
@@ -268,6 +275,17 @@ def assert_same_bytes(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_close_to_reference(actual, expected):
+    """The tolerance of every gathered correlation and every kernel gradient."""
+    assert actual.shape == expected.shape
+    npt.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def gathers(channels):
+    """Whether a correlation of an input with this many channels takes the gathered form."""
+    return channels <= layers.GATHER_CHANNELS
+
+
 # (in, out, k, h, w) of a conv, whose tied deconv maps out to in: k 1, 3
 # and 5, h != w, odd widths, one input channel.
 # BLAS may round the last few columns of a product in an edge kernel
@@ -275,8 +293,11 @@ def assert_same_bytes(actual, expected):
 # and the last h*w mod 8 <= 4 once a product sums 16 terms), and the two
 # formulations lay a map out at different widths.  So every product here
 # sums fewer than 16 terms, and a one-row one has h*w a multiple of 4.
+# A correlation of at most layers.GATHER_CHANNELS input channels gathers
+# and is held to assert_close_to_reference, as is every kernel gradient;
+# the cases cover both sides of that rule, at k = 1 too.
 RAGGED = [(3, 5, 5, 6, 9), (1, 4, 3, 8, 7), (2, 3, 1, 5, 11), (6, 2, 5, 9, 13),
-          (4, 3, 3, 7, 4)]
+          (4, 3, 3, 7, 4), (8, 3, 3, 6, 5), (6, 5, 1, 4, 7)]
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["conv", "tied-deconv"])
@@ -296,12 +317,18 @@ def test_correlation_bytes_match_per_offset_tensordot(shape, tied):
     y, cache = layer.forward(x)
     z = cache[1]
     out, gx_ref, gw_ref = corr_by_offset(x, layer.weights, g * (z > 0.0))
-    assert_same_bytes(z, out + layer.bias[:, None, None])
+    if gathers(layer.in_channels):
+        assert_close_to_reference(z, out + layer.bias[:, None, None])
+    else:
+        assert_same_bytes(z, out + layer.bias[:, None, None])
     assert_same_bytes(y, np.maximum(z, 0.0))
 
     gx, grads = layer.backward(cache, g)
-    assert_same_bytes(gx, gx_ref)
-    assert_same_bytes(grads["W"], gw_ref)
+    if gathers(layer.out_channels):
+        assert_close_to_reference(gx, gx_ref)
+    else:
+        assert_same_bytes(gx, gx_ref)
+    assert_close_to_reference(grads["W"], gw_ref)
     no_gx, no_gx_grads = layer.backward(cache, g, input_grad=False)
     assert no_gx is None
     assert no_gx_grads.keys() == grads.keys()
@@ -310,7 +337,10 @@ def test_correlation_bytes_match_per_offset_tensordot(shape, tied):
 
 
 def unblocked_corr2d(x, weights):
-    """_corr2d before column blocks: every offset's product adds straight into the map."""
+    """_corr2d before column blocks: every offset's product adds straight into the map.
+
+    Returns (map, padded x, the flat buffer padded x is a view of).
+    """
     c, h, w = x.shape
     k = weights.shape[2]
     pad = k // 2
@@ -325,7 +355,7 @@ def unblocked_corr2d(x, weights):
         for v in range(k):
             s = u * wp + v
             out += wk[u, v] @ flat[:, s:s + h * wp]
-    return out.reshape(-1, h, wp)[:, :, :w], xp
+    return out.reshape(-1, h, wp)[:, :, :w], xp, flat
 
 
 def tensordot_weight_grad(xp, gz, k):
@@ -356,15 +386,12 @@ def scatter_input_grad(gz, weights):
     return gxp[:, :hp * wp].reshape(-1, hp, wp)[:, pad:pad + h, pad:pad + w]
 
 
-def test_correlation_bytes_match_unblocked_reference():
-    # column blocks, the reused window buffer and the input gradient's
-    # reversed correlation against the code they replaced: k 1 to 7, up to
-    # 96 output or input channels, h*wp a multiple of 8 (blocked) and not
-    # (one block), signed zeros in x and gz.  Where h*wp is not a multiple
-    # of 8, the reversal moves other columns of the input gradient's
-    # products into the BLAS's edge kernel, so there it is held to 1e-12.
+def reference_cases():
+    """(x, weights, gz) of 320 correlations: k 1 to 7, up to 96 output or input
+    channels, h*wp a multiple of 8 (blocked) and not (one block), signed
+    zeros in x and gz, and input channels on both sides of layers.GATHER_CHANNELS.
+    """
     gen = np.random.default_rng(1111)
-    several_blocks = several_grad_blocks = 0
     for case in range(320):
         k = (1, 3, 5, 7)[case % 4]
         if case >= 240:  # many input channels: several input-gradient blocks
@@ -379,29 +406,84 @@ def test_correlation_bytes_match_unblocked_reference():
         wp = w + k - 1
         if case % 2:
             h += -h % (8 // math.gcd(wp, 8))  # the next h with h*wp a multiple of 8
-        aligned = h * wp % 8 == 0
-        several_blocks += aligned and 16 * out_c * h * wp > layers.BLOCK_BYTES
-        several_grad_blocks += aligned and 16 * in_c * h * wp > layers.BLOCK_BYTES
         x = gen.normal(size=(in_c, h, w))
         x[gen.random(x.shape) < 0.2] = -0.0
         x[gen.random(x.shape) < 0.1] = 0.0
         weights = gen.normal(size=(out_c, in_c, k, k))
         gz = gen.normal(size=(out_c, h, w))
         gz[gen.random(gz.shape) < 0.2] = -0.0
+        yield x, weights, gz
 
-        out, xp = layers._corr2d(x, weights)
-        ref_out, ref_xp = unblocked_corr2d(x, weights)
-        assert_same_bytes(out, ref_out)
-        assert_same_bytes(xp, ref_xp)
-        assert_same_bytes(layers._corr2d_weight_grad(xp, gz, k), tensordot_weight_grad(ref_xp, gz, k))
-        gx, _ = Conv2DLayer(weights, np.zeros(out_c), "identity").backward((xp, out), gz)
-        ref_gx = scatter_input_grad(gz, weights)
-        if aligned:
-            assert_same_bytes(gx, ref_gx)
-        else:
-            npt.assert_allclose(gx, ref_gx, rtol=1e-12, atol=0)
-    assert several_blocks >= 40
-    assert several_grad_blocks >= 40
+
+def correlation_and_gradients(x, weights, gz):
+    """_corr2d's map and flat buffer, and the layer's input and kernel gradients for gz."""
+    out, flat = layers._corr2d(x, weights)
+    gx, grads = Conv2DLayer(weights, np.zeros(weights.shape[0]), "identity").backward(
+        (flat, out), gz)
+    return out, flat, gx, grads["W"]
+
+
+def several_blocks(rows, h, wp):
+    """Whether 16 bytes a row of h*wp columns exceed BLOCK_BYTES: several column blocks."""
+    return 16 * rows * h * wp > layers.BLOCK_BYTES
+
+
+def test_correlation_bytes_match_unblocked_reference():
+    # the shift-and-add forward, its column blocks and the input gradient's
+    # reversed correlation against the code they replaced.  Where h*wp is
+    # not a multiple of 8, the reversal moves other columns of the input
+    # gradient's products into the BLAS's edge kernel, so there it is held
+    # to 1e-12.  The gathered forms are test_gathered_correlation_...'s.
+    blocked = grad_blocked = shifted = 0
+    for x, weights, gz in reference_cases():
+        (out_c, in_c, k, _), (_, h, w) = weights.shape, x.shape
+        wp = w + k - 1
+        aligned = h * wp % 8 == 0
+        out, flat, gx, _ = correlation_and_gradients(x, weights, gz)
+        ref_out, ref_xp, ref_flat = unblocked_corr2d(x, weights)
+        assert_same_bytes(flat, ref_flat)
+        if not gathers(in_c):
+            shifted += 1
+            blocked += aligned and several_blocks(out_c, h, wp)
+            assert_same_bytes(out, ref_out)
+        if not gathers(out_c):
+            grad_blocked += aligned and several_blocks(in_c, h, wp)
+            ref_gx = scatter_input_grad(gz, weights)
+            if aligned:
+                assert_same_bytes(gx, ref_gx)
+            else:
+                npt.assert_allclose(gx, ref_gx, rtol=1e-12, atol=0)
+    assert shifted >= 200
+    assert blocked >= 30
+    assert grad_blocked >= 40
+
+
+def test_gathered_correlation_and_kernel_gradients_match_unblocked_reference():
+    # the gathered forward and input gradient, and every kernel gradient, in
+    # either form, against the same reference loops, within
+    # assert_close_to_reference's tolerance
+    gathered = gathered_blocked = grad_gathered = kernel_gathered = kernel_gathered_blocked = 0
+    for x, weights, gz in reference_cases():
+        (out_c, in_c, k, _), (_, h, w) = weights.shape, x.shape
+        wp = w + k - 1
+        out, _, gx, gw = correlation_and_gradients(x, weights, gz)
+        ref_out, ref_xp, _ = unblocked_corr2d(x, weights)
+        if gathers(in_c):
+            gathered += 1
+            gathered_blocked += several_blocks(k * k * in_c, h, wp)
+            assert_close_to_reference(out, ref_out)
+        if gathers(out_c):
+            grad_gathered += 1
+            assert_close_to_reference(gx, scatter_input_grad(gz, weights))
+        if out_c >= layers.GRAD_GATHER_RATIO * in_c:
+            kernel_gathered += 1
+            kernel_gathered_blocked += several_blocks(k * k * in_c, h, wp)
+        assert_close_to_reference(gw, tensordot_weight_grad(ref_xp, gz, k))
+    assert gathered >= 60
+    assert gathered_blocked >= 15
+    assert grad_gathered >= 20
+    assert 150 <= kernel_gathered <= 170  # and the rest take the uncopied view
+    assert kernel_gathered_blocked >= 60
 
 
 # ---------------------------------------------------------------------------

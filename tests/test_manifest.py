@@ -11,7 +11,7 @@ from paintnet.data.manifest import (
     load_manifest,
     parse_manifest,
 )
-from paintnet.data.rng import Rng
+from paintnet.data.rng import Rng, Stream
 from paintnet.errors import ArgumentError, ManifestError
 
 from conftest import ASSETS
@@ -164,13 +164,13 @@ def test_kfold_deterministic():
 
 def test_kfold_two_by_two_deal():
     # independently replay the rule: per class, shuffle members with the
-    # class-indexed stream, then deal position % k
+    # class-indexed split stream, then deal position % k
     m = synth_manifest([2, 2])
     seed = 12
     expected = [[], []]
     for cls in range(2):
         members = [i for i, e in enumerate(m.entries) if e.class_index == cls]
-        Rng.stream(seed, cls).shuffle(members)
+        Rng.stream(seed, Stream.SPLIT, cls).shuffle(members)
         for pos, idx in enumerate(members):
             expected[pos % 2].append(idx)
     split = kfold_split(m, 2, seed=seed)

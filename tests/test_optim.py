@@ -154,16 +154,16 @@ def test_grad_check_linear_model_near_exact():
 
 
 def test_grad_check_error_shrinks_with_eps_on_smooth_model():
-    from paintnet.autoencoder import (_INIT_STREAM, CAEModel, Stage, StageStack, conv_stage,
+    from paintnet.autoencoder import (CAEModel, Stage, StageStack, conv_stage,
                                       deconv_stage, seeded)
     from paintnet.checks import _stack
-    from paintnet.data.rng import Rng
+    from paintnet.data.rng import Rng, Stream
 
     class SmoothCAE(StageStack):
         loss = CAEModel.loss
 
     # a one-channel tied autoencoder, sigmoid at every stage
-    tensor = seeded(Rng.stream(3, _INIT_STREAM))
+    tensor = seeded(Rng.stream(3, Stream.INIT))
     enc1 = conv_stage("enc1", 1, 1, 5, "sigmoid", tensor)
     enc2 = conv_stage("enc2", 1, 2, 5, "sigmoid", tensor)
     model = SmoothCAE((1, 4, 4), [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import paintnet.data.rng as rng_module
-from paintnet.data.rng import Rng
+from paintnet.data.rng import Rng, Stream
 from paintnet.errors import ArgumentError
 
 # first three outputs of the reference algorithm for seed 0, computed by
@@ -120,6 +120,21 @@ def test_stream_multiple_salts_order_sensitive():
 
 def test_stream_deterministic():
     assert Rng.stream(42, 7, 9).next_u64() == Rng.stream(42, 7, 9).next_u64()
+
+
+def test_stream_tags_distinct():
+    # one first salt per purpose; an alias would share its purpose's draws
+    assert len(Stream.__members__) == len({tag.value for tag in Stream}) == 6
+
+
+def test_split_streams_replay_no_other_purpose():
+    # a class's fold deal once drew from stream(seed, class index), which
+    # for class 17 is the autoencoder init stream (seed, 0x11)
+    for seed in (0, 5):
+        others = {Rng.stream(seed, tag).next_u64() for tag in Stream if tag != Stream.SPLIT}
+        deals = {Rng.stream(seed, Stream.SPLIT, i).next_u64() for i in range(256)}
+        assert not others & deals
+        assert Rng.stream(seed, 17).next_u64() in others
 
 
 # ---------------------------------------------------------------------------
