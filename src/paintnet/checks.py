@@ -36,7 +36,9 @@ from .optim import finite_difference_max_rel_error
 
 EPS = 1e-6
 THRESHOLD = 1e-5
-_SEED = 20240217  # fixed: every check below passes with margin at this seed
+# fixed: every check below passes at this seed, but not every one with margin:
+# cnn_stack at scale medium reads 7.603e-06, at its finite-difference noise floor
+_SEED = 20240217
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -66,7 +67,7 @@ def _prologue(args) -> RunConfig:
     config = _resolve_config(args)
     print(json.dumps(asdict(config), sort_keys=True))
     if args.command != "evaluate":
-        chain = shape_chain(config.cae_config())
+        chain = shape_chain(config)
         print("shape chain:", _chain_text(chain[:5]))
         if args.command == "pretrain":
             print("decoder chain:", _chain_text(chain[4:]))
@@ -112,6 +113,20 @@ def _save(model, config: RunConfig, name: str):
     print(f"wrote {ckpt} ({save_checkpoint(model, ckpt)} bytes)")
 
 
+def _check_output_dirs(config: RunConfig):
+    """Fail now, not after training, where an output directory could not be made.
+
+    Each directory's nearest existing ancestor must be a writable
+    directory; nothing is created here.
+    """
+    for setting in ("checkpoint_dir", "report_dir"):
+        path = Path(getattr(config, setting))
+        found = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
+            raise ConfigError(f"{setting} {path} cannot be made: "
+                              f"{found} is not a writable directory")
+
+
 def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
     if path_setting is None:
         raise ConfigError(f"{what} is not set in the config")
@@ -128,10 +143,11 @@ def _labeled_manifest(path_setting: str | None, n_classes: int) -> DatasetManife
 
 
 def cmd_pretrain(config: RunConfig, args) -> int:
+    _check_output_dirs(config)
     manifest = _require_manifest(config.pretrain_manifest, "pretrain_manifest")
     images = [x for x, _ in _load_samples(manifest, config.data_root, config.input_size)]
     model = build_cae(config.cae_config(), config.seed)
-    model, log = pretrain(model, images, config.sgd_config(), config.epochs_pretrain,
+    model, log = pretrain(model, images, config, config.epochs_pretrain,
                           config.seed, threads=config.threads)
     _save(model, config, CAE_CHECKPOINT)
     rows = "".join(f"{e},{lr:.12g},{loss:.12g}\n" for e, lr, loss in log)
@@ -148,9 +164,8 @@ def _load_cae(config: RunConfig) -> CAEModel | None:
     cae = load_checkpoint(ckpt)
     if not isinstance(cae, CAEModel):
         raise CheckpointError(f"{ckpt} holds a classifier, not an autoencoder")
-    want = config.cae_config()
     for name in ENCODER_FIELDS:
-        have, need = getattr(cae.config, name), getattr(want, name)
+        have, need = getattr(cae.config, name), getattr(config, name)
         if have != need:
             raise CheckpointError(f"{ckpt} has {name} {have}, the config says {need}")
     return cae
@@ -166,10 +181,11 @@ def _fit(config: RunConfig, cae: CAEModel | None, samples, seed: int):
     else:
         print(f"encoder from {_checkpoint_path(config, CAE_CHECKPOINT)}")
     model = build_cnn(encoder_extract(cae), config.cnn_config(), seed)
-    return finetune(model, samples, config.sgd_config(), config.epochs_finetune, seed)
+    return finetune(model, samples, config, config.epochs_finetune, seed)
 
 
 def cmd_finetune(config: RunConfig, args) -> int:
+    _check_output_dirs(config)
     manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
@@ -184,6 +200,7 @@ def cmd_finetune(config: RunConfig, args) -> int:
 
 
 def cmd_crossval(config: RunConfig, args) -> int:
+    _check_output_dirs(config)
     manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
     split = kfold_split(manifest, config.folds, config.seed)
     cae = _load_cae(config)

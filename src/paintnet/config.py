@@ -1,11 +1,14 @@
 """Run configuration: one JSON document drives every command.
 
-Every field is optional; defaults are the desk-scale profile so the
-whole pipeline stays fast on a CPU.  The full-scale profile (256x256
-inputs, channels (100, 200), fully connected (400, 200)) ships alongside
-and can be selected by pointing --config at it.  Images are always
-read as RGB and the activations are fixed, so neither the input channel
-count (3) nor an activation is a setting; every model setting is one here.
+RunConfig extends CAEConfig, CNNConfig and SGDConfig, so each model and
+optimiser setting is declared once, and adds the run settings; building
+one runs every range check.  Every field is optional; defaults are the
+desk-scale profile so the whole pipeline stays fast on a CPU.  The
+full-scale profile (256x256 inputs, channels (100, 200), fully connected
+(400, 200): the bases' defaults) ships alongside and can be selected by
+pointing --config at it.  Images are always read as RGB and the
+activations are fixed, so neither the input channel count (3) nor an
+activation is a setting; every model setting is one here.
 """
 
 from __future__ import annotations
@@ -21,22 +24,14 @@ from .optim import SGDConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(CAEConfig, CNNConfig, SGDConfig):
     input_size: tuple[int, int] = (64, 64)
     conv_channels: tuple[int, int] = (8, 16)
     fc_sizes: tuple[int, int] = (64, 32)
-    n_classes: int = 3
-    kernel: int = 5
-    corruption_fraction: float = 0.2
-    lr0: float = 0.01
-    decay: float = 0.98
-    batch_size: int = 16
     epochs_pretrain: int = 30
     epochs_finetune: int = 50
     folds: int = 10
     seed: int = 0
-    tied_decoder: bool = True
-    freeze_encoder: bool = False
     threads: int = 1
     data_root: str = "."
     pretrain_manifest: str | None = None
@@ -44,8 +39,18 @@ class RunConfig:
     checkpoint_dir: str = "checkpoints"
     report_dir: str = "reports"
 
+    def __post_init__(self):
+        for base in (CAEConfig, CNNConfig, SGDConfig):
+            base.__post_init__(self)
+        if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
+            raise ConfigError("epoch counts must be >= 0")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
     def _matching(self, cls):
-        """cls from the run fields named like its fields: each of its fields is a run field."""
+        """This config's cls fields as a cls, the config a model keeps and saves."""
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def cae_config(self) -> CAEConfig:
@@ -53,9 +58,6 @@ class RunConfig:
 
     def cnn_config(self) -> CNNConfig:
         return self._matching(CNNConfig)
-
-    def sgd_config(self) -> SGDConfig:
-        return self._matching(SGDConfig)
 
 
 def _is_int(value) -> bool:
@@ -87,21 +89,10 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> RunConfig:
             raise ConfigError(f"{source}: {key} must be {what}, got {value!r}")
         kwargs[key] = convert(value)
 
-    config = RunConfig(**kwargs)
-    # surface range violations now, with the file named, not mid-run
     try:
-        config.cae_config()
-        config.cnn_config()
-        config.sgd_config()
+        return RunConfig(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    if config.epochs_pretrain < 0 or config.epochs_finetune < 0:
-        raise ConfigError(f"{source}: epoch counts must be >= 0")
-    if config.folds < 2:
-        raise ConfigError(f"{source}: folds must be >= 2, got {config.folds}")
-    if config.threads < 1:
-        raise ConfigError(f"{source}: threads must be >= 1, got {config.threads}")
-    return config
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:

@@ -49,7 +49,6 @@ layer's W gradient is a Rank1, its two factors, not an array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,19 +366,6 @@ class Deconv2DLayer(_SameCorrelation):
 # pooling and unpooling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoolSwitches:
-    """Where 2x2 max-pooling found each window's maximum.
-
-    index gives, per pooled position, the flat (row-major) index into
-    the (c, h, w) input of the selected element; each lies inside its
-    own 2x2 window.
-    """
-
-    index: np.ndarray
-    input_shape: tuple[int, int, int]
-
-
 def _wins(b: np.ndarray, a: np.ndarray, nan: bool) -> np.ndarray:
     """Where b displaces a as the running maximum: b > a, or b is the first NaN."""
     won = b > a
@@ -388,8 +374,12 @@ def _wins(b: np.ndarray, a: np.ndarray, nan: bool) -> np.ndarray:
     return won
 
 
-def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolSwitches]:
-    """Per-window maximum over 2x2 blocks, stride 2.
+def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window maximum over 2x2 blocks, stride 2, and its switches.
+
+    The switches give, per pooled position, the flat (row-major) index
+    into the (c, h, w) input of the selected element, each inside its
+    own 2x2 window; the input's extents are twice theirs.
 
     Ties go to the first maximum in row-major window order, and a window
     holding a NaN to its first NaN, as argmax does, so the switches are
@@ -421,32 +411,36 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolSwitches]:
     index += right
     index += (2 * w) * np.arange(c * h2, dtype=np.int64).reshape(c, h2, 1)
     index += 2 * np.arange(w2, dtype=np.int64)
-    return np.take(x, index), PoolSwitches(index, (c, h, w))
+    return np.take(x, index), index
 
 
-def unpool2x2_forward(x: np.ndarray, switches: PoolSwitches) -> np.ndarray:
+def _pooled_input_shape(switches: np.ndarray) -> tuple[int, int, int]:
+    c, h2, w2 = switches.shape
+    return c, 2 * h2, 2 * w2
+
+
+def unpool2x2_forward(x: np.ndarray, switches: np.ndarray) -> np.ndarray:
     """Scatter each value to its recorded max location; zero elsewhere."""
     if x.ndim != 3:
         raise ShapeError(f"unpool input must be (c, h, w), got {x.shape}")
-    if x.shape != switches.index.shape:
-        raise ShapeError(
-            f"unpool input {x.shape} does not match switches {switches.index.shape}")
-    out = np.zeros(switches.input_shape, dtype=np.float64)
-    out.reshape(-1)[switches.index] = x
+    if x.shape != switches.shape:
+        raise ShapeError(f"unpool input {x.shape} does not match switches {switches.shape}")
+    out = np.zeros(_pooled_input_shape(switches), dtype=np.float64)
+    out.reshape(-1)[switches] = x
     return out
 
 
-def maxpool2x2_backward(switches: PoolSwitches, grad_out: np.ndarray) -> np.ndarray:
+def maxpool2x2_backward(switches: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Route the upstream gradient to the recorded max locations."""
     return unpool2x2_forward(grad_out, switches)
 
 
-def unpool2x2_backward(switches: PoolSwitches, grad_out: np.ndarray) -> np.ndarray:
+def unpool2x2_backward(switches: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gather the upstream gradient from the recorded max locations."""
-    if grad_out.shape != switches.input_shape:
-        raise ShapeError(
-            f"unpool grad {grad_out.shape} does not match switches {switches.input_shape}")
-    return np.take(grad_out, switches.index)
+    shape = _pooled_input_shape(switches)
+    if grad_out.shape != shape:
+        raise ShapeError(f"unpool grad {grad_out.shape} does not match switches {shape}")
+    return np.take(grad_out, switches)
 
 
 # ---------------------------------------------------------------------------

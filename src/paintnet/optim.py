@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -21,6 +22,8 @@ class SGDConfig:
     def __post_init__(self):
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not math.isfinite(self.lr0):
+            raise ConfigError(f"lr0 must be finite, got {self.lr0}")
         if not 0 < self.decay <= 1:
             raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
         if self.batch_size < 1:

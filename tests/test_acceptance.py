@@ -106,7 +106,7 @@ def test_03_pool_unpool_laws():
         x = rng.uniform_array((c, h, w), 0.05, 1.0)
         p, s = maxpool2x2_forward(x)
         up = unpool2x2_forward(p, s)
-        _, rows, cols = np.unravel_index(s.index, s.input_shape)
+        _, rows, cols = np.unravel_index(s, x.shape)
         # roundtrip: pooled values at switch positions, zero elsewhere
         for ch in range(c):
             npt.assert_array_equal(up[ch, rows[ch], cols[ch]], p[ch])
@@ -117,7 +117,7 @@ def test_03_pool_unpool_laws():
         # re-pool: identical maxima and switch locations
         p2, s2 = maxpool2x2_forward(up)
         npt.assert_array_equal(p2, p)
-        _, rows2, cols2 = np.unravel_index(s2.index, s2.input_shape)
+        _, rows2, cols2 = np.unravel_index(s2, up.shape)
         npt.assert_array_equal(rows2, rows)
         npt.assert_array_equal(cols2, cols)
     elapsed = time.perf_counter() - t0

@@ -87,9 +87,9 @@ def test_forward_matches_reported_chain_sweep():
                 chain = shape_chain(config)
                 a1 = caches["enc1"][1]
                 assert a1.shape == chain[1]
-                assert caches["pool1"].index.shape == chain[2]
+                assert caches["pool1"].shape == chain[2]
                 assert caches["enc2"][1].shape == chain[3]
-                assert caches["pool2"].index.shape == chain[4]
+                assert caches["pool2"].shape == chain[4]
                 assert recon.shape == chain[8] == x.shape
 
 
@@ -377,7 +377,7 @@ def test_extract_matches_cae_front_half():
     # the CAE's second pooling output is what the encoder stack should produce
     switches = caches["pool2"]
     a2 = ACTIVATIONS[model.layer("enc2").activation][0](caches["enc2"][1])
-    npt.assert_array_equal(feats, a2[np.unravel_index(switches.index, switches.input_shape)])
+    npt.assert_array_equal(feats, a2[np.unravel_index(switches, a2.shape)])
 
 
 def test_extract_copies_weights():

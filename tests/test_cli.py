@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, output contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -85,6 +86,37 @@ def test_dry_run_echoes_config_and_writes_nothing(tmp_path):
     assert resolved["seed"] == 7
     assert not (tmp_path / "ckpt").exists()
     assert not (tmp_path / "reports").exists()
+
+
+# sha256 of each --dry-run stdout for the shipped profiles; the echo and the
+# shape chains are the contract a reader audits a run by
+DRY_RUN_DIGESTS = {
+    ("desk.json", "pretrain"): "9217d6e0387dc4408ddff79a806aa17cf60e55cbd1ecf4974682e9f4b82f59b3",
+    ("desk.json", "finetune"): "c87cd61a01c39f9323db581e99a30fbd3e4a9749d1c956fe9ad7322cce2aa024",
+    ("desk.json", "crossval"): "c87cd61a01c39f9323db581e99a30fbd3e4a9749d1c956fe9ad7322cce2aa024",
+    ("desk.json", "evaluate"): "1298c6ab0efd54c3ecbe4ab7427616c95b402e0dfaa70a0ee63c0705c54c8d1d",
+    ("full.json", "pretrain"): "8319d8ea3a81cde83567a9856928e1c9c32bed92a1300d2b6e8dfa3e467692ad",
+    ("full.json", "finetune"): "eedd12a109868fd0b5af57b6683e5a455cf0a692943bff8f0294f48a7782fc5d",
+    ("full.json", "crossval"): "eedd12a109868fd0b5af57b6683e5a455cf0a692943bff8f0294f48a7782fc5d",
+    ("full.json", "evaluate"): "b402ba7314b7c8d037e79fcc2b679351ae614f35fa125a52d4b46ec8814eada9",
+}
+
+
+@pytest.mark.parametrize("profile,command", sorted(DRY_RUN_DIGESTS))
+def test_dry_run_stdout_is_pinned(profile, command):
+    code, out, err = run_cli(command, "--config", str(ASSETS / profile), "--dry-run")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DRY_RUN_DIGESTS[profile, command], out
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_lr0_exits_2(tmp_path, value):
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("{", f'{{"lr0": {value}, ', 1))
+    code, out, err = run_cli("pretrain", "--config", str(cfg), "--dry-run")
+    assert code == 2
+    assert err == f"error: {cfg}: lr0 must be finite, got {float(value)}\n"
+    assert out == ""
 
 
 def test_seed_override_reaches_resolved_config(tmp_path):
@@ -204,6 +236,25 @@ def test_finetune_class_count_mismatch_exits_3(tmp_path):
     code, _, err = run_cli("finetune", "--config", str(cfg))
     assert code == 3
     assert "classes" in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "crossval"])
+@pytest.mark.parametrize("below", [(), ("sub",)])
+@pytest.mark.parametrize("setting,other", [("checkpoint_dir", "reports"), ("report_dir", "ckpt")])
+def test_output_dir_that_cannot_be_made_exits_2_before_any_read(tmp_path, setting, other,
+                                                                below, command):
+    # without the check, the run trained and then died making the directory
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    (tmp_path / "data" / "alpha" / "000.ppm").unlink()  # a read would exit 3
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest), labeled_manifest=str(manifest),
+                       **{setting: str(taken.joinpath(*below))})
+    code, _, err = run_cli(command, "--config", str(cfg))
+    assert code == 2
+    assert err == (f"error: {setting} {taken.joinpath(*below)} cannot be made: "
+                   f"{taken} is not a writable directory\n")
+    assert not (tmp_path / other).exists()
 
 
 def test_input_channels_key_exits_2_before_any_read(tmp_path):

@@ -1,11 +1,13 @@
 """Run configuration loading and validation."""
 
 import json
+import math
 from dataclasses import asdict, fields
 
 import pytest
 
 from paintnet.autoencoder import CAEConfig, shape_chain
+from paintnet.classifier import CNNConfig
 from paintnet.config import (
     FIELD_TYPES,
     RunConfig,
@@ -13,6 +15,7 @@ from paintnet.config import (
     load_run_config,
 )
 from paintnet.errors import ConfigError
+from paintnet.optim import SGDConfig
 
 from conftest import ASSETS
 
@@ -69,21 +72,70 @@ def test_every_field_annotation_has_one_validator():
 
 
 def test_sub_configs_consistent():
-    # every value differs from the sub-config's own default
+    # each sub-config field is declared once, by its own config; RunConfig redeclares
+    # only the three sizes whose desk default differs from the full-scale one
+    subs = (CAEConfig, CNNConfig, SGDConfig)
+    assert all(issubclass(RunConfig, sub) for sub in subs)
+    sub_fields = {f.name for sub in subs for f in fields(sub)}
+    own = set(RunConfig.__annotations__)
+    assert own & sub_fields == {"input_size", "conv_channels", "fc_sizes"}
+    assert len(own) == 13 and len(sub_fields) == 11
+    assert {f.name for f in fields(RunConfig)} == own | sub_fields
+    for name in ("input_size", "conv_channels", "fc_sizes"):
+        base = next(sub for sub in subs if name in {f.name for f in fields(sub)})
+        assert getattr(RunConfig(), name) != getattr(base(), name), name
+
+    # a model keeps exactly its own config's fields, every value the run's
     cfg = config_from_dict({"input_size": [32, 32], "conv_channels": [4, 6],
                             "kernel": 3, "tied_decoder": False,
                             "corruption_fraction": 0.3, "fc_sizes": [12, 7], "n_classes": 4,
-                            "freeze_encoder": True, "lr0": 0.2, "decay": 0.9,
-                            "batch_size": 8})
-    carried = [(cfg.cae_config(), ("input_size", "conv_channels", "kernel",
-                                   "tied_decoder", "corruption_fraction")),
-               (cfg.cnn_config(), ("fc_sizes", "n_classes", "freeze_encoder")),
-               (cfg.sgd_config(), ("lr0", "decay", "batch_size"))]
-    for sub, names in carried:
-        # every sub-config field is a run field: none keeps a default of its own
-        assert tuple(f.name for f in fields(sub)) == names
-        for name in names:
-            assert getattr(sub, name) == getattr(cfg, name), name
+                            "freeze_encoder": True})
+    for sub, cls in ((cfg.cae_config(), CAEConfig), (cfg.cnn_config(), CNNConfig)):
+        assert type(sub) is cls
+        for f in fields(sub):
+            assert getattr(sub, f.name) == getattr(cfg, f.name), f.name
+
+
+# one out-of-range value per check, in the order the checks run: the
+# autoencoder's, the classifier's, SGD's, then the run's own
+OUT_OF_RANGE = [
+    ("input_size", (6, 6), "input size must be at least 4x4 and divisible by 4 "
+                           "(two 2x2 pools), got 6x6"),
+    ("conv_channels", (0, 4), "conv channels must be >= 1, got (0, 4)"),
+    ("kernel", 4, "kernel must be odd and positive, got 4"),
+    ("corruption_fraction", 1.5, "corruption fraction must be in [0, 1], got 1.5"),
+    ("fc_sizes", (3, 0), "fully connected sizes must be >= 1, got (3, 0)"),
+    ("n_classes", 1, "need at least 2 classes, got 1"),
+    ("lr0", -1.0, "lr0 must be positive, got -1.0"),
+    ("lr0", math.nan, "lr0 must be finite, got nan"),
+    ("lr0", math.inf, "lr0 must be finite, got inf"),
+    ("decay", 0.0, "decay must be in (0, 1], got 0.0"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("epochs_pretrain", -1, "epoch counts must be >= 0"),
+    ("epochs_finetune", -1, "epoch counts must be >= 0"),
+    ("folds", 1, "folds must be >= 2, got 1"),
+    ("threads", 0, "threads must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", OUT_OF_RANGE)
+def test_direct_construction_runs_every_range_check(key, value, message):
+    with pytest.raises(ConfigError) as direct:
+        RunConfig(**{key: value})
+    assert str(direct.value) == message
+    with pytest.raises(ConfigError) as loaded:
+        config_from_dict({key: value}, source="run.json")
+    assert str(loaded.value) == f"run.json: {message}"
+
+
+def test_range_checks_run_in_order():
+    # with every value out of range, each check is reached once all before it pass
+    bad = {}
+    for key, value, message in reversed(OUT_OF_RANGE):
+        bad[key] = value
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**bad)
+        assert str(exc.value) == message, key
 
 
 def test_resolved_round_trips():
@@ -151,7 +203,7 @@ def correlation_columns(config: CAEConfig) -> list[int]:
 def test_shipped_profiles_correlate_on_columns_in_multiples_of_8(profile):
     # the BLAS rounds the last (columns mod 8) of a product in an edge kernel,
     # whose split can move with the BLAS thread count; a multiple of 8 has none
-    columns = correlation_columns(load_run_config(ASSETS / profile).cae_config())
+    columns = correlation_columns(load_run_config(ASSETS / profile))
     assert [n % 8 for n in columns] == [0, 0, 0, 0], columns
 
 

@@ -493,16 +493,17 @@ def test_gathered_correlation_and_kernel_gradients_match_unblocked_reference():
 def test_pool_single_window():
     y, s = maxpool2x2_forward(np.array([[[1.0, 3.0], [2.0, 0.0]]]))
     npt.assert_array_equal(y, [[[3.0]]])
-    assert np.unravel_index(s.index[0, 0, 0], s.input_shape)[1:] == (0, 1)
+    assert s.dtype == np.int64 and s.shape == (1, 1, 1)
+    assert np.unravel_index(s[0, 0, 0], (1, 2, 2))[1:] == (0, 1)
 
 
 def test_pool_tie_first_in_row_major_order():
     y, s = maxpool2x2_forward(np.array([[[5.0, 5.0], [0.0, 0.0]]]))
     npt.assert_array_equal(y, [[[5.0]]])
-    assert np.unravel_index(s.index[0, 0, 0], s.input_shape)[1:] == (0, 0)
+    assert np.unravel_index(s[0, 0, 0], (1, 2, 2))[1:] == (0, 0)
     # all-equal window also picks the top-left corner
     _, s2 = maxpool2x2_forward(np.full((1, 2, 2), 7.0))
-    assert np.unravel_index(s2.index[0, 0, 0], s2.input_shape)[1:] == (0, 0)
+    assert np.unravel_index(s2[0, 0, 0], (1, 2, 2))[1:] == (0, 0)
 
 
 def test_pool_matches_bruteforce():
@@ -510,7 +511,7 @@ def test_pool_matches_bruteforce():
     for _ in range(50):
         x = rng.uniform_array((1, 4, 4), -1.0, 1.0)
         y, s = maxpool2x2_forward(x)
-        _, rows, cols = np.unravel_index(s.index, s.input_shape)
+        _, rows, cols = np.unravel_index(s, x.shape)
         for i in range(2):
             for j in range(2):
                 window = x[0, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
@@ -555,7 +556,7 @@ def test_pool_unpool_roundtrip_exact():
         x = rng.uniform_array((c, h, w), 0.05, 1.0)
         p, s = maxpool2x2_forward(x)
         up = unpool2x2_forward(p, s)
-        chan, rows, cols = np.unravel_index(s.index, s.input_shape)
+        chan, rows, cols = np.unravel_index(s, x.shape)
         npt.assert_array_equal(up[chan, rows, cols], p)
         rest = up.copy()
         rest[chan, rows, cols] = 0.0
@@ -575,8 +576,8 @@ def test_repool_identity_exact():
         up = unpool2x2_forward(v, s)
         v2, s2 = maxpool2x2_forward(up)
         npt.assert_array_equal(v2, v)
-        _, rows, cols = np.unravel_index(s.index, s.input_shape)
-        _, rows2, cols2 = np.unravel_index(s2.index, s2.input_shape)
+        _, rows, cols = np.unravel_index(s, source.shape)
+        _, rows2, cols2 = np.unravel_index(s2, up.shape)
         npt.assert_array_equal(rows2, rows)
         npt.assert_array_equal(cols2, cols)
 
@@ -595,7 +596,7 @@ def test_unpool_backward_gathers():
     _, s = maxpool2x2_forward(x)
     g_out = rng.uniform_array((2, 4, 4), -1.0, 1.0)
     g_in = unpool2x2_backward(s, g_out)
-    _, rows, cols = np.unravel_index(s.index, s.input_shape)
+    _, rows, cols = np.unravel_index(s, x.shape)
     for c in range(2):
         for i in range(2):
             for j in range(2):
@@ -638,7 +639,7 @@ def test_pool_bytes_match_argmax_reference():
         pooled, s = maxpool2x2_forward(x)
         ref_pooled, ref_rows, ref_cols = argmax_pool_reference(x)
         assert_same_bytes(pooled, ref_pooled)
-        _, rows, cols = np.unravel_index(s.index, s.input_shape)
+        _, rows, cols = np.unravel_index(s, x.shape)
         assert_same_bytes(rows, ref_rows)
         assert_same_bytes(cols, ref_cols)
 

@@ -1,5 +1,7 @@
 """Optimizer: schedule arithmetic, parameter stepping, gradient checking."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -44,6 +46,9 @@ def test_sgd_config_validation():
         SGDConfig(decay=1.5)
     with pytest.raises(ConfigError):
         SGDConfig(batch_size=0)
+    for lr0 in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=f"lr0 must be finite, got {lr0}"):
+            SGDConfig(lr0=lr0)
 
 
 def test_sgd_step_in_place():
