@@ -13,25 +13,33 @@ kernel, not a copy, so an in-place update of one is an update of both.
 
 The correlation pads its input once into one flat buffer per channel,
 where the window of each kernel offset is a strided view, and takes one
-of two forms (see _corr2d).  An input of at most GATHER_CHANNELS
-channels, the RGB image of the first conv and the map gradient of the
-last decoder, gathers each column block of every window into one buffer
-and takes one product per block (im2col).  Other inputs shift and
-accumulate (kn2row): each kernel offset is one matrix product on the
-uncopied view.  Every output element of that form is the same dot
-product over input channels, summed in the same offset order, as a
+of three forms (see _corr2d).  A 5x5 correlation with at least
+WINOGRAD_CHANNELS channels on each side, on a map whose sides are
+multiples of 4, takes Winograd's minimal filtering F(4x4, 5x5): 8x8
+input tiles at stride 4, each transform one product with a Kronecker
+table, and one batched product per block of tile rows (see _winograd).
+Among the shipped profiles that is the mid and full encoder's second
+conv and its decoder.  Of the others, an input of at most
+GATHER_CHANNELS channels, the RGB image of the first conv and the map
+gradient of the last decoder, gathers each column block of every window
+into one buffer and takes one product per block (im2col).  Other inputs
+shift and accumulate (kn2row): each kernel offset is one matrix product
+on the uncopied view.  Every output element of that form is the same
+dot product over input channels, summed in the same offset order, as a
 product per copied window gives, so the bits match too, except where
 the BLAS rounds the last few columns of a product in an edge kernel and
 only one layout puts that element there.  It sums its columns in blocks
 that keep the accumulator in cache across the k*k offsets, but only
 where that moves no column out of or into an edge kernel: where the
 column count is a multiple of 8.  The input gradient runs the same
-correlation (see _SameCorrelation.backward).  The kernel gradient reads
-the forward's flat buffer where it lies: gathered blocks where it has
-at least GRAD_GATHER_RATIO output channels per input channel, one
-product per offset on the uncopied view elsewhere.  Both it and the
-gathered correlation sum in another order than a product per copied
-window, so their last bits differ from that reference.
+correlation, each form picked by the same rule on its own operands (see
+_SameCorrelation.backward).  The kernel gradient reads the forward's
+flat buffer where it lies: Winograd's form under the same rule,
+gathered blocks where it has at least GRAD_GATHER_RATIO output channels
+per input channel, one product per offset on the uncopied view
+elsewhere.  Winograd's form, the gathered correlation and the kernel
+gradients sum in another order than a product per copied window, so
+their last bits differ from that reference.
 
 Each layer has one constructor, (weights, bias, activation name), and
 keeps the arrays it is given; ACTIVATIONS maps each name to its function
@@ -114,6 +122,11 @@ GATHER_CHANNELS = 4
 # channel gathers its windows (see _corr2d_weight_grad)
 GRAD_GATHER_RATIO = 4
 
+# a 5x5 correlation whose input and output both have at least this many
+# channels, on a map whose sides are multiples of 4, takes Winograd's form
+# (see _winograd)
+WINOGRAD_CHANNELS = 32
+
 
 def _block_width(column_bytes: int) -> int:
     """Columns per block: a multiple of 64 whose column_bytes each fit BLOCK_BYTES."""
@@ -143,6 +156,154 @@ def _gathered_blocks(flat: np.ndarray, k: int, wp: int, n: int):
         yield b0, b, columns.reshape(rows, b)
 
 
+# ---------------------------------------------------------------------------
+# Winograd F(4x4, 5x5): Lavin & Gray, "Fast Algorithms for Convolutional
+# Neural Networks" (arXiv:1509.09308)
+# ---------------------------------------------------------------------------
+
+def _winograd(c_in: int, c_out: int, k: int, h: int, w: int) -> bool:
+    """Whether a correlation of c_in channels into c_out on an h x w map takes Winograd's form."""
+    return k == 5 and h % 4 == 0 and w % 4 == 0 and min(c_in, c_out) >= WINOGRAD_CHANNELS
+
+
+def _monic(roots: list) -> list:
+    """Coefficients, lowest degree first, of the monic polynomial with these roots."""
+    coef = [1]
+    for r in roots:
+        coef = [a - r * b for a, b in zip([0] + coef, coef + [0])]
+    return coef
+
+
+def _winograd_transforms(num: type = float) -> tuple[list, list, list]:
+    """Aᵀ (4x8), G (8x5) and Bᵀ (8x8) of F(4, 5), in arithmetic of type num.
+
+    With them the 4-output correlation y_i = sum_j g_j d_(i+j) of a
+    5-tap g and an 8-sample d is Aᵀ[(G g) ⊙ (Bᵀ d)]: the transpose of
+    Toom-Cook's product of a 4- and a 5-coefficient polynomial, which
+    evaluates both at the points 0, ±1, ±2, ±1/2 and ∞ (the leading
+    coefficient) and interpolates the 8 products.  Column i of Aᵀ and row
+    i of G evaluate at point p_i; row i of Bᵀ is the interpolation's
+    transpose, the polynomial prod_(q != p_i) (x - q) over the finite
+    points, and prod_q (x - q) for ∞.  G's rows carry the Lagrange
+    denominators prod_(q != p_i) (p_i - q), so Bᵀ's entries are dyadic.
+
+    In fractions.Fraction every entry is exact.  In float every step is
+    exact too, sums and products of a few small dyadic values, except
+    G's one division of two exact values, so each float entry is its
+    exact value rounded once (test_layers checks both).
+    """
+    points = [num(p) for p in (0, 1, -1, 2, -2)] + [num(1) / 2, num(-1) / 2]
+    at = [[p ** i for p in points] + [int(i == 3)] for i in range(4)]
+    g, bt = [], []
+    for i, p in enumerate(points):
+        others = points[:i] + points[i + 1:]
+        g.append([p ** j / math.prod(p - q for q in others) for j in range(5)])
+        bt.append(_monic(others) + [0])
+    g.append([int(j == 4) for j in range(5)])
+    bt.append(_monic(points))
+    return at, g, bt
+
+
+def _kron(t: list) -> np.ndarray:
+    """kron(t, t) of a table of floats, as a float64 array."""
+    return np.array([[x * y for x in ra for y in rb] for ra in t for rb in t], dtype=np.float64)
+
+
+# each 2-D transform as one product on row-major flattened tiles: Aᵀ M A,
+# G g Gᵀ and Bᵀ d B are kron(Aᵀ, Aᵀ), kron(G, G) and kron(Bᵀ, Bᵀ) times
+# them.  Each product of two float entries is exact or rounds to the exact
+# product's nearest double (test_layers checks every entry).  Built in
+# Python floats: importing fractions (which imports decimal), or numpy's
+# first kron, added 0.3 to 0.8 MB to the peak RSS of every command
+_KA, _KG, _KB = (_kron(m) for m in _winograd_transforms())
+
+
+def _winograd_rows(c: int, o: int, tw: int) -> int:
+    """Tile rows per block of a c-to-o Winograd correlation with tw tiles a row.
+
+    A tile takes 64 values a channel in D (the gathered tiles) and V (their
+    transform), c channels each, 64 a channel in M (the products) and 16
+    in Y (its transform), o channels each; a block's four fit BLOCK_BYTES,
+    or it is one row.
+    """
+    return max(1, BLOCK_BYTES // (8 * tw * (128 * c + 80 * o)))
+
+
+def _winograd_blocks(flat: np.ndarray, o: int, h: int, w: int):
+    """(r0, r, V, M, Y) for each block of whole tile rows of _corr2d's flat buffer.
+
+    Tile (i, j) is the 8x8 window of the padded input at row 4i, column
+    4j; a block is tile rows r0 to r0 + r - 1, and V is (64, c, r*w/4):
+    Bᵀ d B of every tile, column t = (i - r0)*w/4 + j.  The tiles are
+    gathered by one copy from a strided view of flat and transformed by
+    one product with _KB.  M and Y are the caller's scratch for the
+    block, flat arrays of 64*o*r*w/4 and 16*o*r*w/4 values.  Every block
+    reuses one buffer, so all three are valid only until the next block.
+    """
+    c = flat.shape[0]
+    wp, th, tw = w + 4, h // 4, w // 4
+    rows = _winograd_rows(c, o, tw)
+    t = rows * tw
+    buf = np.empty((128 * c + 80 * o) * t, dtype=np.float64)
+    d_buf, v_buf, m_buf, y_buf = np.split(buf, np.cumsum([64 * c * t, 64 * c * t, 64 * o * t]))
+    s0, s1 = flat.strides
+    for r0 in range(0, th, rows):
+        r = min(rows, th - r0)
+        n = c * r * tw
+        d = d_buf[:64 * n].reshape(8, 8, c, r, tw)
+        d[...] = np.lib.stride_tricks.as_strided(
+            flat[:, 4 * r0 * wp:], (8, 8, c, r, tw),
+            (wp * s1, s1, s0, 4 * wp * s1, 4 * s1), writeable=False)
+        v = v_buf[:64 * n].reshape(64, n)
+        np.matmul(_KB, d.reshape(64, n), out=v)
+        yield r0, r, v.reshape(64, c, r * tw), m_buf[:64 * o * r * tw], y_buf[:16 * o * r * tw]
+
+
+def _winograd_corr2d(flat: np.ndarray, weights: np.ndarray, h: int, w: int) -> np.ndarray:
+    """_corr2d's (o, h, w) map in Winograd's form, from its flat buffer.
+
+    U = G g Gᵀ of every (out, in) kernel pair is one product with _KG;
+    per tile block, M[ξ] = U[ξ] V[ξ] for each of the 64 transformed
+    positions ξ is one batched product, Y = Aᵀ M A one product with _KA,
+    and Y's 4x4 tiles are written into the block's rows of the map.
+    """
+    o, c = weights.shape[:2]
+    tw = w // 4
+    u = (_KG @ weights.reshape(o * c, 25).T).reshape(64, o, c)
+    out = np.empty((o, h, w), dtype=np.float64)
+    tiles = out.reshape(o, h // 4, 4, tw, 4)
+    for r0, r, v, m, y in _winograd_blocks(flat, o, h, w):
+        t = r * tw
+        np.matmul(u, v, out=m.reshape(64, o, t))
+        np.matmul(_KA, m.reshape(64, o * t), out=y.reshape(16, o * t))
+        tiles[:, r0:r0 + r] = y.reshape(4, 4, o, r, tw).transpose(2, 3, 0, 4, 1)
+    return out
+
+
+def _winograd_weight_grad(flat: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """_corr2d_weight_grad in Winograd's form: the (o, c, 5, 5) gradient for map gradient gz.
+
+    Per tile block, V is recomputed from flat, the block's 4x4 tiles of gz
+    are gathered, dM = A dY Aᵀ is one product with _KA's transpose, and
+    dU[ξ] += dM[ξ] V[ξ]ᵀ one batched product; then dW = Gᵀ dU G is one
+    product with _KG's transpose.
+    """
+    o, h, w = gz.shape
+    c = flat.shape[0]
+    tw = w // 4
+    du = np.zeros((64, o, c), dtype=np.float64)
+    prod = np.empty_like(du)
+    for r0, r, v, m, y in _winograd_blocks(flat, o, h, w):
+        t = r * tw
+        y = y.reshape(4, 4, o, r, tw)
+        y[...] = gz[:, 4 * r0:4 * (r0 + r)].reshape(o, r, 4, tw, 4).transpose(2, 4, 0, 1, 3)
+        np.matmul(_KA.T, y.reshape(16, o * t), out=m.reshape(64, o * t))
+        np.matmul(m.reshape(64, o, t), v.transpose(0, 2, 1), out=prod)
+        du += prod
+    gw = _KG.T @ du.reshape(64, o * c)
+    return np.ascontiguousarray(gw.reshape(5, 5, o, c).transpose(2, 3, 0, 1))
+
+
 def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padding cross-correlation of x, giving (the (out_c, h, w) map, flat padded x).
 
@@ -150,9 +311,22 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     input window of kernel offset (u, v) is the strided view starting at
     u*wp + v.  Every output row then runs wp - w wrap columns past the
     image, which are dropped.  The buffer is returned for the kernel
-    gradient.  The h*wp output columns are taken in one of two forms.
+    gradient.  The map is taken in one of three forms.
 
-    An input of at most GATHER_CHANNELS channels gathers (im2col in
+    A 5x5 correlation with at least WINOGRAD_CHANNELS channels on each
+    side, on a map whose sides are multiples of 4, takes Winograd's form
+    (_winograd_corr2d): 64 products per 4x4 output tile and channel pair
+    where the other forms take 400, in transforms that one product each
+    applies to a block of whole tile rows.  On one BLAS thread its
+    forward measured 2.1x faster on the mid profile's conv2 (32 to 64
+    channels at 64x64), 3.0x on the full one's (100 to 200 at 128x128)
+    and 1.7x at 16 channels each side at 64x64.  It lost on four of the
+    six correlations of the desk profile's conv2 and dec2 (8 and 16
+    channels) and on 13 of the 15 with a 3-channel side, where the
+    transforms outweigh the products.  32 routes every shipped profile
+    as any value from 9 to 32 would, and leaves desk on the other forms.
+
+    Other inputs of at most GATHER_CHANNELS channels gather (im2col in
     blocks): each column block of every window is copied into one
     (k*k*c, b) buffer (_gathered_blocks), and the block is one product
     with the (o, k*k*c) kernel.  Shifting and adding would sum only c
@@ -181,6 +355,8 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     n = h * wp
     flat = np.zeros((c, hp * wp + k - 1), dtype=np.float64)
     flat[:, :hp * wp].reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w] = x
+    if _winograd(c, o, k, h, w):
+        return _winograd_corr2d(flat, weights, h, w), flat
     out = np.empty((o, n), dtype=np.float64)
     if c <= GATHER_CHANNELS:
         # (out, k, k, in): the gathered rows' order
@@ -218,14 +394,19 @@ def _corr2d_weight_grad(flat: np.ndarray, gzp: np.ndarray, k: int) -> np.ndarray
     flat is _corr2d's padded input buffer, and gzp the map gradient laid
     out as (o, h, wp) with zeros in its wp - w wrap columns: column
     i*wp + j of gzp meets column i*wp + j + u*wp + v of flat at offset
-    (u, v), and the wrap columns add zeros.  Either form reads flat
-    where it lies, with no copied window.
+    (u, v), and the wrap columns add zeros.  Each form reads flat where
+    it lies, with no copied window.
 
-    A gradient with at least GRAD_GATHER_RATIO output channels per input
-    channel gathers the same column blocks as _corr2d and sums one
-    (o, k*k*c) product per block.  Each gathered column is then shared
-    by many rows: the first conv's gradient at 128x128 (3 to 32
-    channels) measured 4.5x faster than with one product per offset.
+    A gradient that _winograd picks for its (c, o) takes Winograd's form
+    (_winograd_weight_grad): it recomputes each tile block's transformed
+    input from flat, so the layer cache stays (flat, z), and sums the
+    gradient of the 64 transformed kernels over the blocks.
+
+    Of the others, a gradient with at least GRAD_GATHER_RATIO output
+    channels per input channel gathers the same column blocks as _corr2d
+    and sums one (o, k*k*c) product per block.  Each gathered column is
+    then shared by many rows: the first conv's gradient at 128x128 (3 to
+    32 channels) measured 4.5x faster than with one product per offset.
     With fewer rows per input channel gathering saved at most 4% (the
     mid profile's second conv) and cost up to 1.8x (the desk decoders).
 
@@ -234,6 +415,8 @@ def _corr2d_weight_grad(flat: np.ndarray, gzp: np.ndarray, k: int) -> np.ndarray
     """
     o, h, wp = gzp.shape
     c = flat.shape[0]
+    if _winograd(c, o, k, h, wp - k + 1):
+        return _winograd_weight_grad(flat, gzp[:, :, :wp - k + 1])
     n = h * wp
     g2 = gzp.reshape(o, n)
     if o >= GRAD_GATHER_RATIO * c:
@@ -315,22 +498,35 @@ class _SameCorrelation:
             raise ShapeError(
                 f"{self.kind} grad shape {grad_out.shape} does not match output {z.shape}")
         o, h, w = z.shape
-        # gz in place inside its zero-wrap layout, as _corr2d_weight_grad reads it
-        gzp = np.zeros((o, h, w + self.kernel - 1), dtype=np.float64)
+        k = self.kernel
+        pad, wp = k // 2, w + k - 1
+        winograd = input_grad and _winograd(o, self.in_channels, k, h, w)
+        # gz in place inside its zero-wrap layout, as _corr2d_weight_grad reads
+        # it.  Where the input gradient takes Winograd's form, that layout is
+        # the interior rows of a buffer padded as _corr2d pads its input, and
+        # the input gradient correlates gz there, with no copy
+        if winograd:
+            gflat = np.zeros((o, (h + 2 * pad) * wp + k - 1), dtype=np.float64)
+            gzp = gflat[:, pad * (wp + 1):][:, :h * wp].reshape(o, h, wp)
+        else:
+            gzp = np.zeros((o, h, wp), dtype=np.float64)
         gz = ACTIVATIONS[self.activation][1](z, gzp[:, :, :w])
         gz *= grad_out
         grads = {
-            "W": _corr2d_weight_grad(flat, gzp, self.kernel),
+            "W": _corr2d_weight_grad(flat, gzp, k),
             "b": gz.sum(axis=(1, 2)),
         }
         if not input_grad:
             return None, grads
         # The input gradient is the correlation of gz with transpose_flip of
-        # the kernel.  Correlating the reversed gz with the channel-swapped,
+        # the kernel, which Winograd's form takes as it is.  For the other
+        # forms, correlating the reversed gz with the channel-swapped,
         # unflipped kernel and reversing the result is the same sum with the
         # kernel offsets taken in ascending order, the order the pinned
         # digests were recorded with; a flipped kernel reverses that order
         # and moves bits.
+        if winograd:
+            return _winograd_corr2d(gflat, transpose_flip(self.weights), h, w), grads
         gx, _ = _corr2d(gz[:, ::-1, ::-1], self.weights.transpose(1, 0, 2, 3))
         return gx[:, ::-1, ::-1], grads
 

@@ -6,6 +6,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from paintnet import layers
 from paintnet.autoencoder import CAEConfig, shape_chain
 from paintnet.classifier import CNNConfig
 from paintnet.config import (
@@ -205,6 +206,37 @@ def test_shipped_profiles_correlate_on_columns_in_multiples_of_8(profile):
     # whose split can move with the BLAS thread count; a multiple of 8 has none
     columns = correlation_columns(load_run_config(ASSETS / profile))
     assert [n % 8 for n in columns] == [0, 0, 0, 0], columns
+
+
+def winograd_routes(config: CAEConfig) -> dict[str, tuple[int, int, int, int]]:
+    """{"layer.path": (input channels, output channels, h, w)} of each correlation
+    that takes Winograd's form: the forward and kernel gradient correlate the
+    layer's input into its output, the input gradient its output into its input."""
+    chain = shape_chain(config)
+    routes = {}
+    for name, i in zip(("enc1", "enc2", "dec2", "dec1"), CORRELATION_INPUTS):
+        (c_in, h, w), c_out = chain[i], chain[i + 1][0]
+        for path, pair in (("fwd", (c_in, c_out)), ("input_grad", (c_out, c_in)),
+                           ("kernel_grad", (c_in, c_out))):
+            if layers._winograd(*pair, config.kernel, h, w):
+                routes[f"{name}.{path}"] = pair + (h, w)
+    return routes
+
+
+@pytest.mark.parametrize("profile, routed", [
+    ("desk.json", set()),
+    ("full.json", {f"{name}.{path}" for name in ("enc2", "dec2")
+                   for path in ("fwd", "input_grad", "kernel_grad")}),
+])
+def test_shipped_profiles_take_winograd_on_tile_blocks_in_multiples_of_8(profile, routed):
+    # Winograd's products run on a block's tiles as columns; a multiple of 8
+    # puts none in the BLAS's edge kernel, as for the other forms
+    routes = winograd_routes(load_run_config(ASSETS / profile))
+    assert set(routes) == routed
+    for c, o, h, w in routes.values():
+        assert (h, w) == (128, 128)
+        rows, th, tw = layers._winograd_rows(c, o, w // 4), h // 4, w // 4
+        assert all(min(rows, th - r0) * tw % 8 == 0 for r0 in range(0, th, rows))
 
 
 def test_every_input_side_in_multiples_of_8_correlates_on_columns_in_multiples_of_8():

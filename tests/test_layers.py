@@ -10,10 +10,14 @@ reversed correlation replaced, the split-by-sign sigmoid, and the
 argmax pooling that the window-plane tournament replaced.  The gathered
 correlation of a few-channel input and every kernel gradient sum in
 another order, so they are held to the same references within
-rtol 1e-12 and atol 1e-12 times the reference's largest magnitude.
+rtol 1e-12 and atol 1e-12 times the reference's largest magnitude, as
+is Winograd's form of a many-channel 5x5 correlation, against the layer
+with Winograd's rule switched off.
 """
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -39,6 +43,8 @@ from paintnet.layers import (
     unpool2x2_forward,
 )
 from paintnet.optim import finite_difference_max_rel_error
+
+from test_golden import _moved
 
 
 def conv_oracle(x, weights, bias):
@@ -484,6 +490,139 @@ def test_gathered_correlation_and_kernel_gradients_match_unblocked_reference():
     assert grad_gathered >= 20
     assert 150 <= kernel_gathered <= 170  # and the rest take the uncopied view
     assert kernel_gathered_blocked >= 60
+
+
+def winograd_paths(in_c, out_c, k, h, w):
+    """Which of a conv's forward, input gradient and kernel gradient take Winograd's form."""
+    return (layers._winograd(in_c, out_c, k, h, w), layers._winograd(out_c, in_c, k, h, w),
+            layers._winograd(in_c, out_c, k, h, w))
+
+
+def test_byte_reference_cases_take_no_winograd():
+    # the byte and gathered reference tests above hold the other forms to
+    # the code they replaced; none of their cases may reach Winograd's
+    shapes = [(w.shape[1], w.shape[0], w.shape[2]) + x.shape[1:] for x, w, _ in reference_cases()]
+    shapes += [(in_c, out_c, k, h, w) for in_c, out_c, k, h, w in RAGGED]
+    assert not any(any(winograd_paths(*shape)) for shape in shapes)
+
+
+# ---------------------------------------------------------------------------
+# Winograd F(4x4, 5x5)
+# ---------------------------------------------------------------------------
+
+def test_winograd_transforms_obey_the_exact_law():
+    # in rationals, Aᵀ[(G g) ⊙ (Bᵀ d)] is the 5-tap correlation of an
+    # 8-sample d, y_i = sum_j g_j d_(i+j), for every pair of basis vectors,
+    # so for every (g, d) by bilinearity
+    at, g, bt = layers._winograd_transforms(Fraction)
+    assert (len(at), len(at[0]), len(g), len(g[0]), len(bt), len(bt[0])) == (4, 8, 8, 5, 8, 8)
+    for tap in range(5):
+        for sample in range(8):
+            y = [sum(at[i][x] * g[x][tap] * bt[x][sample] for x in range(8)) for i in range(4)]
+            assert y == [int(i + tap == sample) for i in range(4)], (tap, sample)
+    # each float64 entry, of the 1-D tables and of the 2-D ones the layers
+    # use, is its exact value rounded once
+    rounded = lambda exact: [[float(e) for e in row] for row in exact]
+    for table, exact in zip(layers._winograd_transforms(), (at, g, bt)):
+        assert table == rounded(exact)
+    for table, m in ((layers._KA, at), (layers._KG, g), (layers._KB, bt)):
+        assert table.tolist() == rounded([[x * y for x in ra for y in rb] for ra in m for rb in m])
+
+
+def winograd_cases():
+    """(x, weights, gz) of 24 conv shapes that take Winograd's form on all three paths:
+    map sides 4 to 64 (h != w among them), 32 to 96 channels, signed zeros in x and gz."""
+    gen = np.random.default_rng(2222)
+    for case in range(24):
+        h, w = (4 * int(e) for e in gen.integers(1, 17, size=2))
+        if case < 4:
+            h, w = (64, 64) if case < 2 else (4, 4)
+        in_c, out_c = (int(e) for e in gen.integers(32, 97, size=2))
+        x = gen.normal(size=(in_c, h, w))
+        x[gen.random(x.shape) < 0.2] = -0.0
+        x[gen.random(x.shape) < 0.1] = 0.0
+        weights = gen.normal(size=(out_c, in_c, 5, 5))
+        gz = gen.normal(size=(out_c, h, w))
+        gz[gen.random(gz.shape) < 0.2] = -0.0
+        yield x, weights, gz
+
+
+def test_winograd_paths_match_the_forms_they_replace(monkeypatch):
+    # Winograd's forward, input gradient and kernel gradient against the
+    # same layer with the rule switched off: the shift-and-add forward, the
+    # reversed input gradient and the per-offset kernel gradient
+    cases = list(winograd_cases())
+    for x, weights, _ in cases:
+        (out_c, in_c, k, _), (_, h, w) = weights.shape, x.shape
+        assert winograd_paths(in_c, out_c, k, h, w) == (True, True, True)
+    got = [correlation_and_gradients(x, weights, gz) for x, weights, gz in cases]
+    monkeypatch.setattr(layers, "WINOGRAD_CHANNELS", 10 ** 9)
+    for (x, weights, gz), (out, flat, gx, gw) in zip(cases, got):
+        ref_out, ref_flat, ref_gx, ref_gw = correlation_and_gradients(x, weights, gz)
+        assert_same_bytes(flat, ref_flat)
+        assert_close_to_reference(out, ref_out)
+        assert_close_to_reference(gx, ref_gx)
+        assert_close_to_reference(gw, ref_gw)
+        assert out.flags.c_contiguous and gx.flags.c_contiguous
+
+
+def test_winograd_gradients_match_central_differences():
+    # an identity-activation layer is linear in each of W, b and x, so a
+    # central difference has no truncation error and only rounding remains
+    rng = Rng(88)
+    layer = seeded_conv(32, 32, 5, "identity", rng)
+    layer.bias[:] = rng.uniform_array((32,), -0.5, 0.5)
+    x = rng.uniform_array((32, 8, 8), -1.0, 1.0)
+    r = rng.uniform_array((32, 8, 8), -1.0, 1.0)
+    assert winograd_paths(32, 32, 5, 8, 8) == (True, True, True)
+    _, cache = layer.forward(x)
+    gx, grads = layer.backward(cache, r)
+    arrays = {"W": (layer.weights, grads["W"]), "b": (layer.bias, grads["b"]), "x": (x, gx)}
+    gen = np.random.default_rng(89)
+    names = gen.choice(["W", "W", "b", "x", "x"], size=200)
+    eps = 1e-3
+    worst = 0.0
+    for name in names:
+        arr, analytic = arrays[name]
+        i = tuple(int(gen.integers(0, n)) for n in arr.shape)
+        orig = arr[i]
+        diffs = []
+        for step in (eps, -eps):
+            arr[i] = orig + step
+            diffs.append(float((layer.forward(x)[0] * r).sum()))
+        arr[i] = orig
+        numeric = (diffs[0] - diffs[1]) / (2 * eps)
+        worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8))
+    assert set(names) == {"W", "b", "x"}
+    assert worst < 1e-6
+
+
+# sha256 of (forward map, input gradient, kernel gradient) bytes of an
+# identity-activation conv on seeded operands, every path in Winograd's
+# form: the mid profile's conv2 and the full profile's channels on a
+# 16x16 map.  CI runs this at two BLAS threads too
+WINOGRAD_BYTES = {
+    (32, 64, 64): ("986aa60b041805722a59378d21e66a1b20232b76727fcc728506d62c884614e5",
+                   "8679891d11f84871ed98efe61f1afb9b8c6c02638d665c13e18293bf7e119df1",
+                   "8f0fa06d6e414ec0b267b0ddc35475d858fae60bca0fa83f52dd41102b4332fc"),
+    (100, 200, 16): ("ca72d6a18623d7a7d75aebde67175b642354d665944eeeb1d3fbe53bb0953390",
+                     "b40294c4429fc37d5d1899f23c476f37fd22d1ab76f6684bb1956af7c0629b2a",
+                     "bc486253db72a718d5bd196a007e061eea84222789d77b80d7b99f858fb74869"),
+}
+
+
+@pytest.mark.parametrize("shape", WINOGRAD_BYTES, ids=lambda s: "{}to{}@{}".format(*s))
+def test_winograd_bytes_are_pinned(shape):
+    in_c, out_c, side = shape
+    assert winograd_paths(in_c, out_c, 5, side, side) == (True, True, True)
+    rng = Rng(sum(shape))
+    layer = seeded_conv(in_c, out_c, 5, "identity", rng)
+    x = rng.uniform_array((in_c, side, side), -1.0, 1.0)
+    g = rng.uniform_array((out_c, side, side), -1.0, 1.0)
+    y, cache = layer.forward(x)
+    gx, grads = layer.backward(cache, g)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (y, gx, grads["W"]))
+    assert got == WINOGRAD_BYTES[shape], _moved()
 
 
 # ---------------------------------------------------------------------------
