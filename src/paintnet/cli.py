@@ -4,8 +4,9 @@ Subcommands: pretrain, finetune, crossval, evaluate, gradcheck.  One
 JSON config drives everything; the config, with defaults filled in,
 is echoed as the first line of output so runs are auditable.
 
-Exit codes: 0 success, 1 check failure, 2 config or argument error,
-3 data error, 4 checkpoint error, 5 numeric divergence.
+Exit codes: 0 success, 1 check failure, 2 config or argument error
+(a report that cannot be written included), 3 data error, 4 checkpoint
+error, 5 numeric divergence.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def _load_samples(manifest: DatasetManifest, root: str,
 
 
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
     print(f"wrote {path}")
 
 

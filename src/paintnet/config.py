@@ -100,7 +100,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = json.loads(text)

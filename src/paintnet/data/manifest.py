@@ -54,6 +54,8 @@ def parse_manifest(text: str, source: str = "<string>") -> DatasetManifest:
         path, label = row[0].strip(), row[1].strip()
         if not path or not label:
             raise ManifestError(f"{source}:{lineno}: empty path or label")
+        if "\0" in path:
+            raise ManifestError(f"{source}:{lineno}: path {path!r} holds a NUL byte")
         if path in seen_paths:
             raise ManifestError(f"{source}:{lineno}: duplicate path {path!r}")
         seen_paths.add(path)
@@ -67,7 +69,7 @@ def load_manifest(path) -> DatasetManifest:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {p}: {exc}") from exc
     return parse_manifest(text, source=str(p))
 

@@ -17,7 +17,7 @@ of three forms (see _corr2d).  A 5x5 correlation with at least
 WINOGRAD_CHANNELS channels on each side, on a map whose sides are
 multiples of 4, takes Winograd's minimal filtering F(4x4, 5x5): 8x8
 input tiles at stride 4, each transform one product with a Kronecker
-table, and one batched product per block of tile rows (see _winograd).
+table, and one batched product per tile row (see _winograd).
 Among the shipped profiles that is the mid and full encoder's second
 conv and its decoder.  Of the others, an input of at most
 GATHER_CHANNELS channels, the RGB image of the first conv and the map
@@ -218,72 +218,58 @@ def _kron(t: list) -> np.ndarray:
 _KA, _KG, _KB = (_kron(m) for m in _winograd_transforms())
 
 
-def _winograd_rows(c: int, o: int, tw: int) -> int:
-    """Tile rows per block of a c-to-o Winograd correlation with tw tiles a row.
-
-    A tile takes 64 values a channel in D (the gathered tiles) and V (their
-    transform), c channels each, 64 a channel in M (the products) and 16
-    in Y (its transform), o channels each; a block's four fit BLOCK_BYTES,
-    or it is one row.
-    """
-    return max(1, BLOCK_BYTES // (8 * tw * (128 * c + 80 * o)))
-
-
 def _winograd_blocks(flat: np.ndarray, o: int, h: int, w: int):
-    """(r0, r, V, M, Y) for each block of whole tile rows of _corr2d's flat buffer.
+    """(i, V, M, Y) for each tile row i of _corr2d's flat buffer.
 
     Tile (i, j) is the 8x8 window of the padded input at row 4i, column
-    4j; a block is tile rows r0 to r0 + r - 1, and V is (64, c, r*w/4):
-    Bᵀ d B of every tile, column t = (i - r0)*w/4 + j.  The tiles are
-    gathered by one copy from a strided view of flat and transformed by
-    one product with _KB.  M and Y are the caller's scratch for the
-    block, flat arrays of 64*o*r*w/4 and 16*o*r*w/4 values.  Every block
-    reuses one buffer, so all three are valid only until the next block.
+    4j, and V is (64, c, w/4): Bᵀ d B of row i's tiles, tile j in column
+    j.  The tiles are gathered into D by one copy from a strided view of
+    flat and transformed by one product with _KB.  M (64, o, w/4) and Y
+    (4, 4, o, w/4) are the caller's scratch for the row.  D, V, M and Y
+    are views of one buffer of (128*c + 80*o)*(w/4) values that every
+    row reuses, so V, M and Y are valid only until the next row.
+    A block is one row because one row's scratch already exceeds
+    BLOCK_BYTES on every Winograd shape of the mid and full profiles:
+    1.1 to 1.3 MiB at 64x64, 7.0 to 8.2 MiB at 128x128.
     """
     c = flat.shape[0]
-    wp, th, tw = w + 4, h // 4, w // 4
-    rows = _winograd_rows(c, o, tw)
-    t = rows * tw
-    buf = np.empty((128 * c + 80 * o) * t, dtype=np.float64)
-    d_buf, v_buf, m_buf, y_buf = np.split(buf, np.cumsum([64 * c * t, 64 * c * t, 64 * o * t]))
+    wp, tw = w + 4, w // 4
+    buf = np.empty((128 * c + 80 * o) * tw, dtype=np.float64)
+    d, v, m, y = np.split(buf, np.cumsum([64 * c * tw, 64 * c * tw, 64 * o * tw]))
+    d, v = d.reshape(8, 8, c, tw), v.reshape(64, c, tw)
+    m, y = m.reshape(64, o, tw), y.reshape(4, 4, o, tw)
     s0, s1 = flat.strides
-    for r0 in range(0, th, rows):
-        r = min(rows, th - r0)
-        n = c * r * tw
-        d = d_buf[:64 * n].reshape(8, 8, c, r, tw)
+    for i in range(h // 4):
         d[...] = np.lib.stride_tricks.as_strided(
-            flat[:, 4 * r0 * wp:], (8, 8, c, r, tw),
-            (wp * s1, s1, s0, 4 * wp * s1, 4 * s1), writeable=False)
-        v = v_buf[:64 * n].reshape(64, n)
-        np.matmul(_KB, d.reshape(64, n), out=v)
-        yield r0, r, v.reshape(64, c, r * tw), m_buf[:64 * o * r * tw], y_buf[:16 * o * r * tw]
+            flat[:, 4 * i * wp:], (8, 8, c, tw), (wp * s1, s1, s0, 4 * s1), writeable=False)
+        np.matmul(_KB, d.reshape(64, c * tw), out=v.reshape(64, c * tw))
+        yield i, v, m, y
 
 
 def _winograd_corr2d(flat: np.ndarray, weights: np.ndarray, h: int, w: int) -> np.ndarray:
     """_corr2d's (o, h, w) map in Winograd's form, from its flat buffer.
 
     U = G g Gᵀ of every (out, in) kernel pair is one product with _KG;
-    per tile block, M[ξ] = U[ξ] V[ξ] for each of the 64 transformed
+    per tile row, M[ξ] = U[ξ] V[ξ] for each of the 64 transformed
     positions ξ is one batched product, Y = Aᵀ M A one product with _KA,
-    and Y's 4x4 tiles are written into the block's rows of the map.
+    and Y's 4x4 tiles are written into the row's four rows of the map.
     """
     o, c = weights.shape[:2]
     tw = w // 4
     u = (_KG @ weights.reshape(o * c, 25).T).reshape(64, o, c)
     out = np.empty((o, h, w), dtype=np.float64)
     tiles = out.reshape(o, h // 4, 4, tw, 4)
-    for r0, r, v, m, y in _winograd_blocks(flat, o, h, w):
-        t = r * tw
-        np.matmul(u, v, out=m.reshape(64, o, t))
-        np.matmul(_KA, m.reshape(64, o * t), out=y.reshape(16, o * t))
-        tiles[:, r0:r0 + r] = y.reshape(4, 4, o, r, tw).transpose(2, 3, 0, 4, 1)
+    for i, v, m, y in _winograd_blocks(flat, o, h, w):
+        np.matmul(u, v, out=m)
+        np.matmul(_KA, m.reshape(64, o * tw), out=y.reshape(16, o * tw))
+        tiles[:, i] = y.transpose(2, 0, 3, 1)
     return out
 
 
 def _winograd_weight_grad(flat: np.ndarray, gz: np.ndarray) -> np.ndarray:
     """_corr2d_weight_grad in Winograd's form: the (o, c, 5, 5) gradient for map gradient gz.
 
-    Per tile block, V is recomputed from flat, the block's 4x4 tiles of gz
+    Per tile row, V is recomputed from flat, the row's 4x4 tiles of gz
     are gathered, dM = A dY Aᵀ is one product with _KA's transpose, and
     dU[ξ] += dM[ξ] V[ξ]ᵀ one batched product; then dW = Gᵀ dU G is one
     product with _KG's transpose.
@@ -293,12 +279,10 @@ def _winograd_weight_grad(flat: np.ndarray, gz: np.ndarray) -> np.ndarray:
     tw = w // 4
     du = np.zeros((64, o, c), dtype=np.float64)
     prod = np.empty_like(du)
-    for r0, r, v, m, y in _winograd_blocks(flat, o, h, w):
-        t = r * tw
-        y = y.reshape(4, 4, o, r, tw)
-        y[...] = gz[:, 4 * r0:4 * (r0 + r)].reshape(o, r, 4, tw, 4).transpose(2, 4, 0, 1, 3)
-        np.matmul(_KA.T, y.reshape(16, o * t), out=m.reshape(64, o * t))
-        np.matmul(m.reshape(64, o, t), v.transpose(0, 2, 1), out=prod)
+    for i, v, m, y in _winograd_blocks(flat, o, h, w):
+        y[...] = gz[:, 4 * i:4 * i + 4].reshape(o, 4, tw, 4).transpose(1, 3, 0, 2)
+        np.matmul(_KA.T, y.reshape(16, o * tw), out=m.reshape(64, o * tw))
+        np.matmul(m, v.transpose(0, 2, 1), out=prod)
         du += prod
     gw = _KG.T @ du.reshape(64, o * c)
     return np.ascontiguousarray(gw.reshape(5, 5, o, c).transpose(2, 3, 0, 1))
@@ -317,7 +301,7 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     side, on a map whose sides are multiples of 4, takes Winograd's form
     (_winograd_corr2d): 64 products per 4x4 output tile and channel pair
     where the other forms take 400, in transforms that one product each
-    applies to a block of whole tile rows.  On one BLAS thread its
+    applies to one tile row at a time.  On one BLAS thread its
     forward measured 2.1x faster on the mid profile's conv2 (32 to 64
     channels at 64x64), 3.0x on the full one's (100 to 200 at 128x128)
     and 1.7x at 16 channels each side at 64x64.  It lost on four of the
@@ -398,9 +382,9 @@ def _corr2d_weight_grad(flat: np.ndarray, gzp: np.ndarray, k: int) -> np.ndarray
     it lies, with no copied window.
 
     A gradient that _winograd picks for its (c, o) takes Winograd's form
-    (_winograd_weight_grad): it recomputes each tile block's transformed
+    (_winograd_weight_grad): it recomputes each tile row's transformed
     input from flat, so the layer cache stays (flat, z), and sums the
-    gradient of the 64 transformed kernels over the blocks.
+    gradient of the 64 transformed kernels over the rows.
 
     Of the others, a gradient with at least GRAD_GATHER_RATIO output
     channels per input channel gathers the same column blocks as _corr2d

@@ -77,6 +77,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "momentum" in err
 
 
+def test_config_not_utf8_exits_2_naming_it(tmp_path):
+    # the UnicodeDecodeError once escaped load_run_config: a traceback and exit 1
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"seed": 7, "report_dir": "\xff"}')
+    code, out, err = run_cli("pretrain", "--dry-run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_dry_run_echoes_config_and_writes_nothing(tmp_path):
     cfg = write_config(tmp_path)
     code, out, _ = run_cli("pretrain", "--config", str(cfg), "--dry-run")
@@ -158,6 +168,35 @@ def test_pretrain_missing_image_exits_3(tmp_path):
     code, _, err = run_cli("pretrain", "--config", str(cfg))
     assert code == 3
     assert "ghost.ppm" in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "evaluate"])
+def test_manifest_not_utf8_exits_3_naming_it(tmp_path, command):
+    # the UnicodeDecodeError once escaped load_manifest: a traceback and exit 1
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"path,label\n\xffa.ppm,x\n")
+    argv = ["--config", str(write_config(tmp_path, pretrain_manifest=str(manifest)))]
+    if command == "evaluate":
+        cae = build_cae(CAEConfig(input_size=(16, 16), conv_channels=(2, 3), kernel=3), seed=1)
+        ckpt = tmp_path / "cnn.dpnt"
+        save_checkpoint(build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=2), ckpt)
+        argv += ["--checkpoint", str(ckpt), "--manifest", str(manifest)]
+    code, _, err = run_cli(command, *argv)
+    assert code == 3
+    assert err.startswith(f"error: cannot read manifest {manifest}: "
+                          "'utf-8' codec can't decode byte 0xff")
+
+
+def test_manifest_path_with_nul_byte_exits_3_naming_its_line(tmp_path):
+    # reading the image once raised ValueError (embedded null byte): a traceback and exit 1
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("gamma/\0.ppm,gamma\n")
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest))
+    code, out, err = run_cli("pretrain", "--config", str(cfg))
+    assert code == 3
+    assert err == f"error: {manifest}:8: path 'gamma/\\x00.ppm' holds a NUL byte\n"
+    assert "wrote" not in out
 
 
 def test_pretrain_truncated_image_exits_3_naming_it(tmp_path):
@@ -255,6 +294,23 @@ def test_output_dir_that_cannot_be_made_exits_2_before_any_read(tmp_path, settin
     assert err == (f"error: {setting} {taken.joinpath(*below)} cannot be made: "
                    f"{taken} is not a writable directory\n")
     assert not (tmp_path / other).exists()
+
+
+@pytest.mark.parametrize("command,report", [("pretrain", "pretrain_loss.csv"),
+                                            ("finetune", "finetune_loss.csv"),
+                                            ("crossval", "crossval_report.csv")])
+def test_report_path_taken_by_a_directory_exits_2_naming_it(tmp_path, command, report):
+    # the run trained and wrote its checkpoint, then died writing the report
+    # with a traceback and exit 1, the check-failure code
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    taken = tmp_path / "reports" / report
+    taken.mkdir(parents=True)
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest), labeled_manifest=str(manifest),
+                       epochs_pretrain=1, epochs_finetune=1)
+    code, _, err = run_cli(command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: cannot write report {taken}: ")
+    assert "Is a directory" in err
 
 
 def test_input_channels_key_exits_2_before_any_read(tmp_path):

@@ -599,8 +599,9 @@ def test_winograd_gradients_match_central_differences():
 
 # sha256 of (forward map, input gradient, kernel gradient) bytes of an
 # identity-activation conv on seeded operands, every path in Winograd's
-# form: the mid profile's conv2 and the full profile's channels on a
-# 16x16 map.  CI runs this at two BLAS threads too
+# form: the mid profile's conv2, the full profile's channels on a 16x16
+# map, and the full profile's conv2 at 128x128.  CI runs this at two BLAS
+# threads too
 WINOGRAD_BYTES = {
     (32, 64, 64): ("986aa60b041805722a59378d21e66a1b20232b76727fcc728506d62c884614e5",
                    "8679891d11f84871ed98efe61f1afb9b8c6c02638d665c13e18293bf7e119df1",
@@ -608,6 +609,9 @@ WINOGRAD_BYTES = {
     (100, 200, 16): ("ca72d6a18623d7a7d75aebde67175b642354d665944eeeb1d3fbe53bb0953390",
                      "b40294c4429fc37d5d1899f23c476f37fd22d1ab76f6684bb1956af7c0629b2a",
                      "bc486253db72a718d5bd196a007e061eea84222789d77b80d7b99f858fb74869"),
+    (100, 200, 128): ("f1df74f8bf4752d285bc5788b6e63cc08cd7b22cb502e1b353203e253c644b54",
+                      "8dce23dcd9300bee5740bbd59007cb3ddcfd7fd4667c8c876aaad1aef275c08f",
+                      "c58a4ae4aadb9b78d3e209745ea3e95df24b7ea209605d79ce6b248d4c83e563"),
 }
 
 
