@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import classifier
 from .autoencoder import (ENCODER_FIELDS, CAEModel, build_cae, encoder_extract, pretrain,
                           shape_chain)
 from .checks import run_gradcheck
@@ -39,7 +40,7 @@ from .errors import (
     NumericError,
 )
 from .metrics import accuracy, crossval_aggregate, evaluate, report_csv
-from .persist import load_checkpoint, save_checkpoint
+from .persist import load_checkpoint, save_checkpoint, write_atomic
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,21 +52,19 @@ CAE_CHECKPOINT = "cae.dpnt"
 CNN_CHECKPOINT = "cnn.dpnt"
 
 
-def _resolve_config(args) -> RunConfig:
-    """The --config file (defaults without one) with --seed and --threads applied."""
-    flags = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
-    if args.config:
-        return load_run_config(args.config, flags)
-    return config_from_dict(flags, source="command line")
-
-
 def _chain_text(shapes) -> str:
     return " -> ".join(f"{c}x{h}x{w}" for c, h, w in shapes)
 
 
 def _prologue(args) -> RunConfig:
-    """The config with defaults filled in, echoed with the command's shape chain."""
-    config = _resolve_config(args)
+    """The config with defaults filled in, echoed with the command's shape chain.
+
+    The config is the --config file (defaults without one) with --seed and
+    --threads applied.
+    """
+    flags = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
+    config = load_run_config(args.config, flags) if args.config \
+        else config_from_dict(flags, source="command line")
     print(json.dumps(asdict(config), sort_keys=True))
     if args.command != "evaluate":
         chain = shape_chain(config)
@@ -98,9 +97,10 @@ def _load_samples(manifest: DatasetManifest, root: str,
 
 
 def _write_text(path: Path, text: str):
+    """Replace the report at path whole, as checkpoints are replaced."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot write report {path}: {exc}") from exc
     print(f"wrote {path}")
@@ -131,24 +131,21 @@ def _check_output_dirs(config: RunConfig):
                               f"{found} is not a writable directory")
 
 
-def _require_manifest(path_setting: str | None, what: str) -> DatasetManifest:
+def _manifest(path_setting: str | None, what: str,
+              n_classes: int | None = None) -> DatasetManifest:
+    """The manifest at path_setting (the setting named what), checked to have
+    n_classes classes, where given, before any image is read."""
     if path_setting is None:
         raise ConfigError(f"{what} is not set in the config")
-    return load_manifest(path_setting)
-
-
-def _labeled_manifest(path_setting: str | None, n_classes: int) -> DatasetManifest:
-    """The labeled manifest, checked to have n_classes classes before any image is read."""
-    manifest = _require_manifest(path_setting, "labeled_manifest")
-    if len(manifest.classes) != n_classes:
+    manifest = load_manifest(path_setting)
+    if n_classes is not None and len(manifest.classes) != n_classes:
         raise DataError(f"manifest {path_setting} has {len(manifest.classes)} classes, "
                         f"expected {n_classes}")
     return manifest
 
 
 def cmd_pretrain(config: RunConfig, args) -> int:
-    _check_output_dirs(config)
-    manifest = _require_manifest(config.pretrain_manifest, "pretrain_manifest")
+    manifest = _manifest(config.pretrain_manifest, "pretrain_manifest")
     images = [x for x, _ in _load_samples(manifest, config.data_root, config.input_size)]
     model = build_cae(config.cae_config(), config.seed)
     model, log = pretrain(model, images, config, config.epochs_pretrain,
@@ -177,20 +174,17 @@ def _load_cae(config: RunConfig) -> CAEModel | None:
 
 def _fit(config: RunConfig, cae: CAEModel | None, samples, seed: int):
     """A classifier on cae's encoder (a fresh one from seed without cae), fine-tuned."""
-    # looked up per call: perfbench/child.py wraps classifier.build_cnn after importing cli
-    from .classifier import build_cnn
     if cae is None:
         print("encoder from random init (no autoencoder checkpoint found)")
         cae = build_cae(config.cae_config(), seed)
     else:
         print(f"encoder from {_checkpoint_path(config, CAE_CHECKPOINT)}")
-    model = build_cnn(encoder_extract(cae), config.cnn_config(), seed)
+    model = classifier.build_cnn(encoder_extract(cae), config.cnn_config(), seed)
     return finetune(model, samples, config, config.epochs_finetune, seed)
 
 
 def cmd_finetune(config: RunConfig, args) -> int:
-    _check_output_dirs(config)
-    manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
+    manifest = _manifest(config.labeled_manifest, "labeled_manifest", config.n_classes)
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
     model, log = _fit(config, cae, samples, config.seed)
@@ -204,8 +198,7 @@ def cmd_finetune(config: RunConfig, args) -> int:
 
 
 def cmd_crossval(config: RunConfig, args) -> int:
-    _check_output_dirs(config)
-    manifest = _labeled_manifest(config.labeled_manifest, config.n_classes)
+    manifest = _manifest(config.labeled_manifest, "labeled_manifest", config.n_classes)
     split = kfold_split(manifest, config.folds, config.seed)
     cae = _load_cae(config)
     samples = _load_samples(manifest, config.data_root, config.input_size)
@@ -231,8 +224,8 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     model = load_checkpoint(ckpt)
     if isinstance(model, CAEModel):
         raise CheckpointError(f"{ckpt} holds an autoencoder, not a classifier")
-    manifest = _labeled_manifest(args.manifest or config.labeled_manifest,
-                                 model.config.n_classes)
+    manifest = _manifest(args.manifest or config.labeled_manifest, "labeled_manifest",
+                         model.config.n_classes)
     samples = _load_samples(manifest, config.data_root, model.input_shape[1:])
     cm = evaluate(model, samples)
     print("confusion rows=true cols=predicted")
@@ -322,7 +315,11 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
         config = _prologue(args)
-        return EXIT_OK if args.dry_run else args.func(config, args)
+        if args.dry_run:
+            return EXIT_OK
+        if args.command != "evaluate":  # the others write checkpoints and reports
+            _check_output_dirs(config)
+        return args.func(config, args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_CONFIG)

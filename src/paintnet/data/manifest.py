@@ -2,7 +2,10 @@
 
 A manifest is a CSV with header ``path,label``.  Class indices are
 assigned in first-appearance order, so the file itself fixes the label
-encoding.
+encoding.  Blank lines are skipped, and an error names the line its row
+starts on.  Two rows may not name one image: paths are compared in their
+PurePosixPath form, so ``a/b.ppm``, ``./a/b.ppm`` and ``a//b.ppm`` are
+one path, while ``..`` is kept as written.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from ..errors import ArgumentError, ManifestError
 from .rng import Rng, Stream
@@ -36,19 +39,23 @@ class DatasetManifest:
 
 def parse_manifest(text: str, source: str = "<string>") -> DatasetManifest:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows, start = [], 1  # (line the row starts on, row); a quoted field may span lines
+    for row in reader:
+        if row:
+            rows.append((start, row))
+        start = reader.line_num + 1
     if not rows:
         raise ManifestError(f"{source}: manifest is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if header != ["path", "label"]:
-        raise ManifestError(f"{source}: header must be 'path,label', got {rows[0]!r}")
+        raise ManifestError(f"{source}: header must be 'path,label', got {rows[0][1]!r}")
     if len(rows) == 1:
         raise ManifestError(f"{source}: manifest has no entries")
 
     entries = []
     classes: list[str] = []
-    seen_paths = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    first_line = {}  # PurePosixPath -> the line that first listed it
+    for lineno, row in rows[1:]:
         if len(row) != 2:
             raise ManifestError(f"{source}:{lineno}: expected 2 fields, got {len(row)}")
         path, label = row[0].strip(), row[1].strip()
@@ -56,9 +63,10 @@ def parse_manifest(text: str, source: str = "<string>") -> DatasetManifest:
             raise ManifestError(f"{source}:{lineno}: empty path or label")
         if "\0" in path:
             raise ManifestError(f"{source}:{lineno}: path {path!r} holds a NUL byte")
-        if path in seen_paths:
-            raise ManifestError(f"{source}:{lineno}: duplicate path {path!r}")
-        seen_paths.add(path)
+        first = first_line.setdefault(PurePosixPath(path), lineno)
+        if first != lineno:
+            raise ManifestError(f"{source}:{lineno}: duplicate path {path!r}: "
+                                f"line {first} lists the same image")
         if label not in classes:
             classes.append(label)
         entries.append(ManifestEntry(path=path, class_index=classes.index(label)))

@@ -193,12 +193,12 @@ def save_checkpoint(model, path) -> int:
     kind = KIND_CAE if isinstance(model, CAEModel) else KIND_CNN
     config, tensors = _config_block(model), stage_parameters(model.stages)
     try:
-        return _write_atomic(Path(path), lambda fh: write_checkpoint(fh, kind, config, tensors))
+        return write_atomic(Path(path), lambda fh: write_checkpoint(fh, kind, config, tensors))
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _write_atomic(path: Path, write) -> int:
+def write_atomic(path: Path, write) -> int:
     """Replace path with what write(fh) writes, or leave it untouched: never a torn file.
 
     The bytes go to a temporary file beside path, reach the disk, and

@@ -313,6 +313,47 @@ def test_report_path_taken_by_a_directory_exits_2_naming_it(tmp_path, command, r
     assert "Is a directory" in err
 
 
+def test_report_write_that_fails_leaves_the_last_report_whole(tmp_path, monkeypatch):
+    # the report was truncated, then rewritten, with no fsync: a failed or killed
+    # write left it empty or partial
+    import paintnet.persist as persist
+    manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)
+    cfg = write_config(tmp_path, pretrain_manifest=str(manifest), epochs_pretrain=1)
+    assert run_cli("pretrain", "--config", str(cfg))[0] == 0
+    report = tmp_path / "reports" / "pretrain_loss.csv"
+    first = report.read_bytes()
+    fsync = persist.os.fsync
+
+    def failing_fsync(fd):  # fails only while the report's temporary file exists
+        if any(p.name != "pretrain_loss.csv" for p in report.parent.iterdir()):
+            raise OSError(5, "Input/output error")
+        fsync(fd)
+
+    monkeypatch.setattr(persist.os, "fsync", failing_fsync)
+    code, _, err = run_cli("pretrain", "--config", str(cfg), "--seed", "8")
+    assert code == 2
+    assert err == f"error: cannot write report {report}: [Errno 5] Input/output error\n"
+    assert report.read_bytes() == first
+    assert sorted(p.name for p in report.parent.iterdir()) == ["pretrain_loss.csv"]
+
+
+def test_fit_looks_up_build_cnn_on_its_module_at_call_time(tmp_path, monkeypatch):
+    # a wrapper installed on paintnet.classifier after paintnet.cli is imported
+    # (as the traced bench installs one) must see every classifier built
+    import paintnet.classifier as classifier
+    manifest = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=5)
+    cfg = write_config(tmp_path, labeled_manifest=str(manifest), epochs_finetune=1, folds=3)
+    built = []
+    build = classifier.build_cnn
+    monkeypatch.setattr(classifier, "build_cnn",
+                        lambda *args: built.append(args[2]) or build(*args))
+    assert run_cli("finetune", "--config", str(cfg))[0] == 0
+    assert built == [7]
+    built.clear()
+    assert run_cli("crossval", "--config", str(cfg))[0] == 0
+    assert len(built) == 3
+
+
 def test_input_channels_key_exits_2_before_any_read(tmp_path):
     # images are always RGB, so the input channel count is not a setting
     manifest = write_dataset(tmp_path / "data", n_per_class=2, side=16, seed=5)

@@ -80,6 +80,28 @@ def test_parse_rejects_duplicate_path():
         parse_manifest("path,label\na.ppm,dog\na.ppm,cat")
 
 
+def test_parse_rejects_one_image_under_two_spellings_naming_both_lines():
+    # "." segments and repeated slashes name the same file; crossval could
+    # otherwise train on an image and validate on it in one fold
+    for spelling in ("./alpha/a.ppm", "alpha//a.ppm"):
+        with pytest.raises(ManifestError, match=f"m.csv:4: duplicate path '{spelling}': "
+                                                "line 2 lists the same image"):
+            parse_manifest(f"path,label\nalpha/a.ppm,dog\nb.ppm,dog\n{spelling},cat\n", "m.csv")
+
+
+def test_parse_keeps_paths_as_written_and_dotdot_distinct():
+    m = parse_manifest("path,label\n./alpha/a.ppm,dog\nalpha/../a.ppm,cat\na.ppm,cat\n")
+    assert [e.path for e in m.entries] == ["./alpha/a.ppm", "alpha/../a.ppm", "a.ppm"]
+
+
+@pytest.mark.parametrize("text", ["path,label\n\na.ppm,x\nb.ppm\n",
+                                  'path,label\n"a\nb.ppm",x\nc.ppm\n'],
+                         ids=["blank_line", "quoted_field_spanning_two_lines"])
+def test_parse_error_names_the_line_its_row_starts_on(text):
+    with pytest.raises(ManifestError, match="^m.csv:4: expected 2 fields, got 1$"):
+        parse_manifest(text, "m.csv")
+
+
 def test_parse_rejects_wrong_field_count():
     with pytest.raises(ManifestError):
         parse_manifest("path,label\na.ppm,dog,extra")
