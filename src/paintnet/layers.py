@@ -16,10 +16,12 @@ where the window of each kernel offset is a strided view, and takes one
 of three forms (see _corr2d).  A 5x5 correlation with at least
 WINOGRAD_CHANNELS channels on each side, on a map whose sides are
 multiples of 4, takes Winograd's minimal filtering F(4x4, 5x5): 8x8
-input tiles at stride 4, each transform one product with a Kronecker
-table, and one batched product per tile row (see _winograd).
-Among the shipped profiles that is the mid and full encoder's second
-conv and its decoder.  Of the others, an input of at most
+input tiles at stride 4, each 2-D transform two products with its 1-D
+table (_sandwich), and one batched product per tile row, whose scratch
+is 1.25 to 1.38 MiB at 64x64 and 7.8 to 8.6 MiB at 128x128 (see
+_winograd and _winograd_blocks).  Among the shipped profiles that is
+the mid and full encoder's second conv and its decoder, whose paths it
+takes 1.9 to 3.5x faster than the other forms.  Of the others, an input of at most
 GATHER_CHANNELS channels, the RGB image of the first conv and the map
 gradient of the last decoder, gathers each column block of every window
 into one buffer and takes one product per block (im2col).  Other inputs
@@ -204,64 +206,89 @@ def _winograd_transforms(num: type = float) -> tuple[list, list, list]:
     return at, g, bt
 
 
-def _kron(t: list) -> np.ndarray:
-    """kron(t, t) of a table of floats, as a float64 array."""
-    return np.array([[x * y for x in ra for y in rb] for ra in t for rb in t], dtype=np.float64)
+# Aᵀ, G and Bᵀ as float64 arrays.  Built from Python floats: importing
+# fractions (which imports decimal) added 0.3 to 0.8 MB to the peak RSS of
+# every command
+_AT, _G, _BT = (np.array(t, dtype=np.float64) for t in _winograd_transforms())
 
 
-# each 2-D transform as one product on row-major flattened tiles: Aᵀ M A,
-# G g Gᵀ and Bᵀ d B are kron(Aᵀ, Aᵀ), kron(G, G) and kron(Bᵀ, Bᵀ) times
-# them.  Each product of two float entries is exact or rounds to the exact
-# product's nearest double (test_layers checks every entry).  Built in
-# Python floats: importing fractions (which imports decimal), or numpy's
-# first kron, added 0.3 to 0.8 MB to the peak RSS of every command
-_KA, _KG, _KB = (_kron(m) for m in _winograd_transforms())
+def _sandwich(t: np.ndarray, x: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = t X tᵀ for every n x n matrix X in x, in two products with the 1-D table t.
+
+    t is (m, n); x is C-contiguous and holds X[r, s] at x[r, s] of an
+    (n, n, N) layout, one matrix per last index.  The first product is t
+    with x as (n, n*N), t X of every matrix at once, into tmp (m*n*N
+    values); the second is t against tmp's m row blocks of (n, N), into
+    out, C-contiguous with m*m*N values.  Neither pass copies or
+    transposes x or tmp, and each output takes 2n multiply-adds where a
+    product with the table kron(t, t) takes n*n.
+    """
+    m, n = t.shape
+    first = np.matmul(t, x.reshape(n, -1), out=tmp.reshape(m, -1))
+    return np.matmul(t, first.reshape(m, n, -1), out=out.reshape(m, m, -1))
 
 
 def _winograd_blocks(flat: np.ndarray, o: int, h: int, w: int):
-    """(i, V, M, Y) for each tile row i of _corr2d's flat buffer.
+    """(i, V, M, Q, Y) for each tile row i of _corr2d's flat buffer.
 
     Tile (i, j) is the 8x8 window of the padded input at row 4i, column
     4j, and V is (64, c, w/4): Bᵀ d B of row i's tiles, tile j in column
     j.  The tiles are gathered into D by one copy from a strided view of
-    flat and transformed by one product with _KB.  M (64, o, w/4) and Y
-    (4, 4, o, w/4) are the caller's scratch for the row.  D, V, M and Y
-    are views of one buffer of (128*c + 80*o)*(w/4) values that every
-    row reuses, so V, M and Y are valid only until the next row.
+    flat, and V = Bᵀ D B is written back over D (_sandwich, through P).
+    M (64, o, w/4), Q (32*o*w/4 values) and Y (4, 4, o, w/4) are the
+    caller's scratch for the row; Y is M's first quarter.  D, P, M and Q
+    are views of one buffer of (128*c + 96*o)*(w/4) values that every
+    row reuses, so V, M, Q and Y are valid only until the next row.
     A block is one row because one row's scratch already exceeds
     BLOCK_BYTES on every Winograd shape of the mid and full profiles:
-    1.1 to 1.3 MiB at 64x64, 7.0 to 8.2 MiB at 128x128.
+    1.25 to 1.38 MiB at 64x64, 7.8 to 8.6 MiB at 128x128.
+    On one BLAS thread the two-product transforms made the mid profile's
+    conv2 and dec2 paths 1.24 to 1.60x faster than one product each with
+    a Kronecker table kron(t, t) did, and the full profile's 0.98 to
+    1.14x, where the batched product outweighs the transforms.
     """
     c = flat.shape[0]
     wp, tw = w + 4, w // 4
-    buf = np.empty((128 * c + 80 * o) * tw, dtype=np.float64)
-    d, v, m, y = np.split(buf, np.cumsum([64 * c * tw, 64 * c * tw, 64 * o * tw]))
-    d, v = d.reshape(8, 8, c, tw), v.reshape(64, c, tw)
-    m, y = m.reshape(64, o, tw), y.reshape(4, 4, o, tw)
+    # the buffer starts on a 64-byte boundary, where AVX-512 loads want
+    # it: at the mid profile's conv2 that measured 5-10% faster than the
+    # 16-, 32- and 48-byte offsets malloc hands out
+    n = (128 * c + 96 * o) * tw
+    raw = np.empty(n + 7, dtype=np.float64)
+    start = -(raw.ctypes.data // 8) % 8
+    buf = raw[start:start + n]
+    d, p, m, q = np.split(buf, np.cumsum([64 * c * tw, 64 * c * tw, 64 * o * tw]))
+    d, m = d.reshape(8, 8, c, tw), m.reshape(64, o, tw)
+    y = m.reshape(-1)[:16 * o * tw].reshape(4, 4, o, tw)
+    v = d.reshape(64, c, tw)
     s0, s1 = flat.strides
     for i in range(h // 4):
         d[...] = np.lib.stride_tricks.as_strided(
             flat[:, 4 * i * wp:], (8, 8, c, tw), (wp * s1, s1, s0, 4 * s1), writeable=False)
-        np.matmul(_KB, d.reshape(64, c * tw), out=v.reshape(64, c * tw))
-        yield i, v, m, y
+        _sandwich(_BT, d, p, d)
+        yield i, v, m, q, y
 
 
 def _winograd_corr2d(flat: np.ndarray, weights: np.ndarray, h: int, w: int) -> np.ndarray:
     """_corr2d's (o, h, w) map in Winograd's form, from its flat buffer.
 
-    U = G g Gᵀ of every (out, in) kernel pair is one product with _KG;
+    U = G g Gᵀ of every (out, in) kernel pair is one _sandwich with G;
     per tile row, M[ξ] = U[ξ] V[ξ] for each of the 64 transformed
-    positions ξ is one batched product, Y = Aᵀ M A one product with _KA,
+    positions ξ is one batched product, Y = Aᵀ M A one _sandwich with Aᵀ,
     and Y's 4x4 tiles are written into the row's four rows of the map.
+    Beside the map it holds U, 64*o*c values, and the row buffer of
+    _winograd_blocks; forming U takes 65*o*c values more, freed before
+    the map and the row buffer are allocated.
     """
     o, c = weights.shape[:2]
     tw = w // 4
-    u = (_KG @ weights.reshape(o * c, 25).T).reshape(64, o, c)
+    u = np.empty((64, o, c), dtype=np.float64)
+    _sandwich(_G, np.ascontiguousarray(weights.transpose(2, 3, 0, 1)),
+              np.empty(40 * o * c, dtype=np.float64), u)
     out = np.empty((o, h, w), dtype=np.float64)
     tiles = out.reshape(o, h // 4, 4, tw, 4)
-    for i, v, m, y in _winograd_blocks(flat, o, h, w):
+    for i, v, m, q, y in _winograd_blocks(flat, o, h, w):
         np.matmul(u, v, out=m)
-        np.matmul(_KA, m.reshape(64, o * tw), out=y.reshape(16, o * tw))
+        _sandwich(_AT, m, q, y)
         tiles[:, i] = y.transpose(2, 0, 3, 1)
     return out
 
@@ -270,22 +297,26 @@ def _winograd_weight_grad(flat: np.ndarray, gz: np.ndarray) -> np.ndarray:
     """_corr2d_weight_grad in Winograd's form: the (o, c, 5, 5) gradient for map gradient gz.
 
     Per tile row, V is recomputed from flat, the row's 4x4 tiles of gz
-    are gathered, dM = A dY Aᵀ is one product with _KA's transpose, and
-    dU[ξ] += dM[ξ] V[ξ]ᵀ one batched product; then dW = Gᵀ dU G is one
-    product with _KG's transpose.
+    are gathered into Y, dM = A dY Aᵀ is one _sandwich with A (written
+    over Y, which is M's first quarter), and dU[ξ] += dM[ξ] V[ξ]ᵀ one
+    batched product; then dW = Gᵀ dU G is one _sandwich with Gᵀ.
+    Beside the result it holds dU and one product buffer, 64*o*c values
+    each, the row buffer of _winograd_blocks, and dW in its (5, 5, o, c)
+    layout, 25*o*c values, until the result is copied out of it.
     """
     o, h, w = gz.shape
     c = flat.shape[0]
     tw = w // 4
     du = np.zeros((64, o, c), dtype=np.float64)
     prod = np.empty_like(du)
-    for i, v, m, y in _winograd_blocks(flat, o, h, w):
+    for i, v, m, q, y in _winograd_blocks(flat, o, h, w):
         y[...] = gz[:, 4 * i:4 * i + 4].reshape(o, 4, tw, 4).transpose(1, 3, 0, 2)
-        np.matmul(_KA.T, y.reshape(16, o * tw), out=m.reshape(64, o * tw))
+        _sandwich(_AT.T, y, q, m)
         np.matmul(m, v.transpose(0, 2, 1), out=prod)
         du += prod
-    gw = _KG.T @ du.reshape(64, o * c)
-    return np.ascontiguousarray(gw.reshape(5, 5, o, c).transpose(2, 3, 0, 1))
+    gw = np.empty((5, 5, o, c), dtype=np.float64)
+    _sandwich(_G.T, du, prod.reshape(-1)[:40 * o * c], gw)
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
 def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,15 +331,16 @@ def _corr2d(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A 5x5 correlation with at least WINOGRAD_CHANNELS channels on each
     side, on a map whose sides are multiples of 4, takes Winograd's form
     (_winograd_corr2d): 64 products per 4x4 output tile and channel pair
-    where the other forms take 400, in transforms that one product each
-    applies to one tile row at a time.  On one BLAS thread its
-    forward measured 2.1x faster on the mid profile's conv2 (32 to 64
-    channels at 64x64), 3.0x on the full one's (100 to 200 at 128x128)
-    and 1.7x at 16 channels each side at 64x64.  It lost on four of the
-    six correlations of the desk profile's conv2 and dec2 (8 and 16
-    channels) and on 13 of the 15 with a 3-channel side, where the
-    transforms outweigh the products.  32 routes every shipped profile
-    as any value from 9 to 32 would, and leaves desk on the other forms.
+    where the other forms take 400, in transforms of two products each
+    (_sandwich), one tile row at a time.  On one BLAS thread its forward
+    measured 3.5x faster than shift-and-add on the mid profile's conv2
+    (32 to 64 channels at 64x64), 3.3x on the full one's (100 to 200 at
+    128x128) and 2.4x at 16 channels each side at 64x64.  It lost on
+    four of the six correlations of the desk profile's conv2 and dec2 (8
+    and 16 channels) and on all six with a 3-channel side at desk, where
+    the transforms outweigh the products.  32 routes every shipped
+    profile as any value from 9 to 32 would, and leaves desk on the
+    other forms.
 
     Other inputs of at most GATHER_CHANNELS channels gather (im2col in
     blocks): each column block of every window is copied into one

@@ -12,7 +12,9 @@ correlation of a few-channel input and every kernel gradient sum in
 another order, so they are held to the same references within
 rtol 1e-12 and atol 1e-12 times the reference's largest magnitude, as
 is Winograd's form of a many-channel 5x5 correlation, against the layer
-with Winograd's rule switched off.
+with Winograd's rule switched off.  Winograd's form is also held to a
+direct correlation in long double, within the error its Kronecker-table
+transforms had.
 """
 
 import hashlib
@@ -520,13 +522,30 @@ def test_winograd_transforms_obey_the_exact_law():
         for sample in range(8):
             y = [sum(at[i][x] * g[x][tap] * bt[x][sample] for x in range(8)) for i in range(4)]
             assert y == [int(i + tap == sample) for i in range(4)], (tap, sample)
-    # each float64 entry, of the 1-D tables and of the 2-D ones the layers
+    # each float64 entry of the 1-D tables, and of the arrays the layers
     # use, is its exact value rounded once
     rounded = lambda exact: [[float(e) for e in row] for row in exact]
     for table, exact in zip(layers._winograd_transforms(), (at, g, bt)):
         assert table == rounded(exact)
-    for table, m in ((layers._KA, at), (layers._KG, g), (layers._KB, bt)):
-        assert table.tolist() == rounded([[x * y for x in ra for y in rb] for ra in m for rb in m])
+    for table, exact in zip((layers._AT, layers._G, layers._BT), (at, g, bt)):
+        assert table.dtype == np.float64 and table.tolist() == rounded(exact)
+
+
+def test_winograd_separable_transforms_give_the_exact_2d_correlation():
+    # the layers' own two-product transforms, run in rationals on every
+    # basis 5x5 kernel (tap (p, q)) and basis 8x8 tile (sample (r, s)):
+    # Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A must be the 4x4 correlation
+    # y[a, b] = sum g[p', q'] d[a + p', b + q'], which is 1 where
+    # (r, s) = (a + p, b + q) and 0 elsewhere; so for every (g, d)
+    at, g, bt = (np.array(t, dtype=object) for t in layers._winograd_transforms(Fraction))
+    sandwich = lambda t, x: layers._sandwich(
+        t, x, np.empty(t.shape[0] * x.size // t.shape[1], dtype=object),
+        np.empty((t.shape[0], t.shape[0]) + x.shape[2:], dtype=object))
+    u = sandwich(g, np.eye(25, dtype=int).astype(object).reshape(5, 5, 25))
+    v = sandwich(bt, np.eye(64, dtype=int).astype(object).reshape(8, 8, 64))
+    y = sandwich(at, u[:, :, :, None] * v[:, :, None, :])
+    a, b, p, q, r, s = np.indices((4, 4, 5, 5, 8, 8))
+    assert (y.reshape(a.shape) == ((r == a + p) & (s == b + q))).all()
 
 
 def winograd_cases():
@@ -597,21 +616,65 @@ def test_winograd_gradients_match_central_differences():
     assert worst < 1e-6
 
 
+def extended_reference(x, weights, gz):
+    """The forward map, input gradient and kernel gradient of a 5x5 same correlation, in long double."""
+    (_, h, w), k = x.shape, weights.shape[2]
+    pad = lambda a: np.pad(a.astype(np.longdouble), ((0, 0), (2, 2), (2, 2)))
+    xp, gzp, gzl = pad(x), pad(gz), gz.astype(np.longdouble)
+    wl = weights.astype(np.longdouble)
+    wf = wl.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    out = np.zeros((wl.shape[0], h, w), dtype=np.longdouble)
+    gx = np.zeros((wl.shape[1], h, w), dtype=np.longdouble)
+    gw = np.empty_like(wl)
+    for u in range(k):
+        for v in range(k):
+            out += np.tensordot(wl[:, :, u, v], xp[:, u:u + h, v:v + w], axes=(1, 0))
+            gx += np.tensordot(wf[:, :, u, v], gzp[:, u:u + h, v:v + w], axes=(1, 0))
+            gw[:, :, u, v] = np.tensordot(gzl, xp[:, u:u + h, v:v + w], axes=([1, 2], [1, 2]))
+    return out, gx, gw
+
+
+# the worst max|error| / max|reference| of the forward, the input gradient
+# and the kernel gradient over the cases below, read with each 2-D
+# transform as one product with a Kronecker table kron(t, t), the form the
+# separable products replaced; the separable form reads 7.9e-15, 7.3e-15
+# and 8.4e-15
+KRONECKER_ERRORS = (8.38e-15, 8.35e-15, 1.33e-14)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than double here")
+def test_winograd_is_no_less_accurate_than_the_kronecker_form():
+    # every Winograd path against a direct correlation in long double
+    # (64-bit significands on x86) of the same float64 operands
+    gen = np.random.default_rng(7)
+    worst = np.zeros(3)
+    for in_c, out_c in ((32, 32), (40, 56), (72, 48), (32, 72), (64, 64), (56, 40)):
+        assert winograd_paths(in_c, out_c, 5, 16, 16) == (True, True, True)
+        x = gen.uniform(-1, 1, (in_c, 16, 16))
+        weights = gen.uniform(-1, 1, (out_c, in_c, 5, 5)) * math.sqrt(6 / (25 * in_c))
+        gz = gen.uniform(-1, 1, (out_c, 16, 16))
+        out, _, gx, gw = correlation_and_gradients(x, weights, gz)
+        for n, (got, ref) in enumerate(zip((out, gx, gw), extended_reference(x, weights, gz))):
+            worst[n] = max(worst[n], float(np.abs(got - ref).max() / np.abs(ref).max()))
+    assert (worst <= KRONECKER_ERRORS).all(), worst
+
+
 # sha256 of (forward map, input gradient, kernel gradient) bytes of an
 # identity-activation conv on seeded operands, every path in Winograd's
 # form: the mid profile's conv2, the full profile's channels on a 16x16
 # map, and the full profile's conv2 at 128x128.  CI runs this at two BLAS
 # threads too
 WINOGRAD_BYTES = {
-    (32, 64, 64): ("986aa60b041805722a59378d21e66a1b20232b76727fcc728506d62c884614e5",
-                   "8679891d11f84871ed98efe61f1afb9b8c6c02638d665c13e18293bf7e119df1",
-                   "8f0fa06d6e414ec0b267b0ddc35475d858fae60bca0fa83f52dd41102b4332fc"),
-    (100, 200, 16): ("ca72d6a18623d7a7d75aebde67175b642354d665944eeeb1d3fbe53bb0953390",
-                     "b40294c4429fc37d5d1899f23c476f37fd22d1ab76f6684bb1956af7c0629b2a",
-                     "bc486253db72a718d5bd196a007e061eea84222789d77b80d7b99f858fb74869"),
-    (100, 200, 128): ("f1df74f8bf4752d285bc5788b6e63cc08cd7b22cb502e1b353203e253c644b54",
-                      "8dce23dcd9300bee5740bbd59007cb3ddcfd7fd4667c8c876aaad1aef275c08f",
-                      "c58a4ae4aadb9b78d3e209745ea3e95df24b7ea209605d79ce6b248d4c83e563"),
+    (32, 64, 64): ("4dbb57b3bac9f6c51c9f831807901446918924613436fac8d2c80cb561816927",
+                   "a9aeefaf3ff82eb993a71117e4cc37debcb9966a7b9221bff9c32fd7cb2ed640",
+                   "9d1dbfdc354619b191c3b7a031602d0bc5845097203e8631cc7420f88be09921"),
+    (100, 200, 16): ("00b3ebd5ccd6e1979a69be80e2ec74b75a7043ceca14edddf72cd11fa7858ad6",
+                     "05548e59025aff94b722c1c366f60242614105e0e0d1ddddaf75c58272f71f8b",
+                     "998e2d10fba28133dcf84a8fb22bfd82d945e548ae55e56929fae4ab4d53bd2f"),
+    (100, 200, 128): ("87af5f7cb644f7be22510d030686432c9c124fcf01fe5a5252533879d37769bf",
+                      "a50b570376f62f707a407ec5d474f4b6ac4da387ee5fd82fa82751f03206e539",
+                      "293d82ebc0e3fd391fb65d0da503bc523a6b6fca57d71852a6068365033a98d4"),
 }
 
 
