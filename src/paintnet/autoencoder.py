@@ -12,9 +12,9 @@ reconstruction error against the clean original.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -394,10 +394,12 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
     return rows
 
 
-def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: int,
+def pretrain(model: CAEModel, images: Sequence[np.ndarray], opt: SGDConfig, epochs: int,
              seed: int, threads: int = 1) -> tuple[CAEModel, list[tuple[int, float, float]]]:
     """Denoising minibatch SGD on reconstruction loss.
 
+    images is a sequence read through len, indexing and iteration; a
+    sample reads its image once, for the corrupted input and the target.
     Every epoch draws a fresh corruption mask per image from the
     (seed, epoch, image index) substream, shuffles the visit order, and
     applies the scheduled learning rate.  threads workers compute the
@@ -412,9 +414,9 @@ def pretrain(model: CAEModel, images: list[np.ndarray], opt: SGDConfig, epochs: 
     fraction = model.config.corruption_fraction
 
     def sample(epoch, idx):
+        img = images[idx]
         rng = Rng.stream(seed, Stream.CORRUPT, epoch, idx)
-        loss, _, grads = model.loss_and_param_grads(corrupt(images[idx], fraction, rng),
-                                                    images[idx])
+        loss, _, grads = model.loss_and_param_grads(corrupt(img, fraction, rng), img)
         return loss, grads
 
     rows = train("pretrain", model.named_parameters(), len(images), sample, opt, epochs, seed,

@@ -8,6 +8,7 @@ head.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,12 @@ def predict(model: CNNModel, x: np.ndarray) -> int:
     return int(np.argmax(model.forward(x)[0]))
 
 
-def finetune(model: CNNModel, samples: list[tuple[np.ndarray, int]], opt: SGDConfig,
+def finetune(model: CNNModel, samples: Sequence[tuple[np.ndarray, int]], opt: SGDConfig,
              epochs: int, seed: int) -> tuple[CNNModel, list[tuple[int, float, float, float]]]:
     """Minibatch SGD on cross-entropy, on one worker.
 
+    samples is a sequence of (image, class index) pairs, read through
+    len, indexing and iteration.
     Honors config.freeze_encoder by only stepping head parameters.
     Returns the model and rows of (epoch, learning_rate, mean_loss,
     train_accuracy).  Deterministic given seed.

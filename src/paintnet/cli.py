@@ -16,10 +16,9 @@ import ctypes
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import classifier
 from .autoencoder import (ENCODER_FIELDS, CAEModel, build_cae, encoder_extract, pretrain,
@@ -27,7 +26,7 @@ from .autoencoder import (ENCODER_FIELDS, CAEModel, build_cae, encoder_extract, 
 from .checks import run_gradcheck
 from .classifier import finetune
 from .config import RunConfig, config_from_dict, load_run_config
-from .data.image import decode_ppm, resample_bilinear, to_tensor
+from .data.image import ImageRGB, decode_ppm, resample_bilinear, to_tensor
 from .data.manifest import DatasetManifest, kfold_split, load_manifest
 from .data.rng import Rng, Stream
 from .errors import (
@@ -77,7 +76,10 @@ def _prologue(args) -> RunConfig:
     return config
 
 
-def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> np.ndarray:
+def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> ImageRGB:
+    """The image at root/rel_path resampled to size, its pixels an owned array:
+    at the source size they are copied out of the file's bytes, which a view
+    would keep alive, with any bytes after the payload."""
     p = Path(root, rel_path)
     try:
         data = p.read_bytes()
@@ -87,13 +89,36 @@ def _read_image(root: str, rel_path: str, size: tuple[int, int]) -> np.ndarray:
         img = decode_ppm(data)
     except (ImageFormatError, ImageUnsupportedError) as exc:
         raise type(exc)(f"{p}: {exc}") from exc
-    return to_tensor(resample_bilinear(img, size))
+    out = resample_bilinear(img, size)
+    return ImageRGB(out.width, out.height, out.pixels.copy()) if out is img else out
 
 
-def _load_samples(manifest: DatasetManifest, root: str,
-                  size: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
-    """Every manifest image, read from root and resampled to size, with its class index."""
-    return [(_read_image(root, e.path, size), e.class_index) for e in manifest.entries]
+class _Corpus(Sequence):
+    """Images held as their 8-bit pixels, an eighth of their float64 size.
+
+    Item i is to_tensor(images[i]), made each time the item is read, paired
+    with labels[i] where there are labels."""
+
+    def __init__(self, images: list[ImageRGB], labels: list[int] | None = None):
+        self.images, self.labels = images, labels
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, i):
+        x = to_tensor(self.images[i])
+        return x if self.labels is None else (x, self.labels[i])
+
+    def subset(self, indices) -> _Corpus:
+        """The images at indices, in that order, sharing their pixels with this corpus."""
+        return _Corpus([self.images[i] for i in indices], [self.labels[i] for i in indices])
+
+
+def _load_samples(manifest: DatasetManifest, root: str, size: tuple[int, int]) -> _Corpus:
+    """Every manifest image, read from root and resampled to size, with its class
+    index: a read-only sequence of (tensor, class index) pairs over 8-bit pixels."""
+    return _Corpus([_read_image(root, e.path, size) for e in manifest.entries],
+                   [e.class_index for e in manifest.entries])
 
 
 def _write_text(path: Path, text: str):
@@ -146,7 +171,7 @@ def _manifest(path_setting: str | None, what: str,
 
 def cmd_pretrain(config: RunConfig, args) -> int:
     manifest = _manifest(config.pretrain_manifest, "pretrain_manifest")
-    images = [x for x, _ in _load_samples(manifest, config.data_root, config.input_size)]
+    images = _Corpus(_load_samples(manifest, config.data_root, config.input_size).images)
     model = build_cae(config.cae_config(), config.seed)
     model, log = pretrain(model, images, config, config.epochs_pretrain,
                           config.seed, threads=config.threads)
@@ -205,8 +230,8 @@ def cmd_crossval(config: RunConfig, args) -> int:
     fold_accuracies = []
     for fold in range(split.k):
         fold_seed = Rng.stream(config.seed, Stream.FOLD, fold).next_u64()
-        model, _ = _fit(config, cae, [samples[i] for i in split.train_indices(fold)], fold_seed)
-        acc = accuracy(evaluate(model, [samples[i] for i in split.folds[fold]]))
+        model, _ = _fit(config, cae, samples.subset(split.train_indices(fold)), fold_seed)
+        acc = accuracy(evaluate(model, samples.subset(split.folds[fold])))
         fold_accuracies.append(acc)
         print(f"fold {fold} accuracy {acc:.4f}")
         _save(model, config, f"fold_{fold:02d}.dpnt")

@@ -123,5 +123,6 @@ def resample_bilinear(img: ImageRGB, target: tuple[int, int]) -> ImageRGB:
 
 
 def to_tensor(img: ImageRGB) -> np.ndarray:
-    """Channel-planar (3, H, W) array of byte/255 values in [0, 1]."""
-    return img.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+    """C-contiguous channel-planar (3, H, W) array of byte/255 values in [0, 1],
+    each byte widened to float64 and divided as it is written, in one pass."""
+    return np.divide(img.pixels.transpose(2, 0, 1), 255.0, dtype=np.float64, order="C")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / total
 
 
-def evaluate(model: CNNModel, samples: list[tuple[np.ndarray, int]]) -> ConfusionMatrix:
-    """One count per sample at (true label, predicted label)."""
+def evaluate(model: CNNModel, samples: Sequence[tuple[np.ndarray, int]]) -> ConfusionMatrix:
+    """One count per (image, label) of a sequence, at (true label, predicted label)."""
     n = model.config.n_classes
     counts = np.zeros((n, n), dtype=np.int64)
     for img, label in samples:

@@ -323,3 +323,14 @@ def test_to_tensor_value_map(byte):
     pixels = np.full((1, 1, 3), byte, dtype=np.uint8)
     t = to_tensor(ImageRGB(width=1, height=1, pixels=pixels))
     npt.assert_allclose(t, byte / 255.0, rtol=0, atol=0)
+
+
+def test_to_tensor_pins_every_byte_and_is_c_contiguous():
+    # each channel holds all 256 byte values, in a different order per channel
+    b = np.arange(256, dtype=np.uint8)
+    pixels = np.stack([b, b[::-1], np.roll(b, 85)], axis=-1).reshape(16, 16, 3)
+    t = to_tensor(ImageRGB(width=16, height=16, pixels=pixels))
+    assert t.shape == (3, 16, 16) and t.dtype == np.float64 and t.flags.c_contiguous
+    for c in range(3):
+        expected = np.array([int(v) / 255.0 for v in pixels[..., c].reshape(-1)])
+        assert t[c].reshape(-1).tobytes() == expected.tobytes()

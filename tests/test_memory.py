@@ -1,5 +1,6 @@
 """Memory: no temporary the size of fc1's weights on the classifier path,
-and no page faults per sample once the CLI's heap is warm.
+no page faults per sample once the CLI's heap is warm, and a corpus held
+as its 8-bit pixels, each float64 tensor made only when a sample reads it.
 
 tracemalloc sees numpy's array allocations, and only those made after it
 starts, so a peak taken around one call is the memory that call needs
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +25,16 @@ import pytest
 import paintnet
 import paintnet.cli as cli
 from paintnet import layers
-from paintnet.autoencoder import CAEConfig, build_cae, corrupt, encoder_extract, stage_parameters
+from paintnet.autoencoder import (CAEConfig, build_cae, corrupt, encoder_extract, pretrain,
+                                  stage_parameters)
 from paintnet.classifier import CNNConfig, build_cnn, finetune
+from paintnet.data.image import decode_ppm, resample_bilinear, to_tensor
+from paintnet.data.manifest import kfold_split, load_manifest
 from paintnet.data.rng import Rng
 from paintnet.optim import SGDConfig
 from paintnet.persist import load_checkpoint, save_checkpoint
 
-from conftest import write_dataset
+from conftest import encode_ppm, random_image, write_dataset
 from test_golden import GRADCHECK_SMALL
 
 
@@ -178,3 +183,132 @@ def test_cli_runs_where_libc_has_no_mallopt(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["gradcheck", "--scale", "small"]) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GRADCHECK_SMALL
+
+
+# ---------------------------------------------------------------------------
+# the CLI's corpus: 8-bit pixels held, float64 tensors made when read
+# ---------------------------------------------------------------------------
+
+def _write_ppms(root: Path, images, trailing: bytes = b"") -> Path:
+    """images as PPM files under root, labelled by class i mod 3, with a manifest."""
+    lines = ["path,label"]
+    root.mkdir(parents=True, exist_ok=True)
+    for i, img in enumerate(images):
+        (root / f"{i:03d}.ppm").write_bytes(encode_ppm(img) + trailing)
+        lines.append(f"{i:03d}.ppm,c{i % 3}")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return root / "manifest.csv"
+
+
+def test_corpus_holds_one_byte_per_channel_sample(tmp_path):
+    # 24 images at 128x128, the mid profile's input size: 1.2 MB as 8-bit
+    # pixels, 9.4 MB as float64 tensors
+    n, side = 24, 128
+    rng = np.random.default_rng(11)
+    _write_ppms(tmp_path, [random_image(rng, side, side) for _ in range(n)])
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    corpus, peak = _peak(lambda: cli._load_samples(manifest, str(tmp_path), (side, side)))
+    assert len(corpus) == n
+    # slack: one file's bytes and its pixel copy in flight, and each held
+    # image's Python objects (ImageRGB, array header, label)
+    image_bytes = 3 * side * side
+    assert peak <= n * image_bytes + 2 * image_bytes + n * 1024 + _SLACK, peak
+
+
+def test_corpus_items_are_the_direct_conversion(tmp_path):
+    # one image resampled (40x30 to 16x16), one already at the source size
+    rng = np.random.default_rng(12)
+    sources = [random_image(rng, 40, 30), random_image(rng, 16, 16)]
+    _write_ppms(tmp_path, sources)
+    corpus = cli._load_samples(load_manifest(tmp_path / "manifest.csv"), str(tmp_path), (16, 16))
+    for i, img in enumerate(sources):
+        want = to_tensor(resample_bilinear(decode_ppm(encode_ppm(img)), (16, 16)))
+        x, label = corpus[i]
+        assert x.dtype == np.float64 and x.shape == (3, 16, 16)
+        assert x.tobytes() == want.tobytes()
+        assert label == i
+        x[...] = 0.0  # each read makes a fresh array
+        assert corpus[i][0].tobytes() == want.tobytes()
+    assert [label for _, label in corpus] == [0, 1]
+
+
+def test_corpus_keeps_no_bytes_after_the_payload(tmp_path):
+    # a 16x16 PPM followed by 1 MiB: decode_ppm's pixels are a view of the
+    # whole file, which the loader must not hold
+    _write_ppms(tmp_path, [random_image(np.random.default_rng(13), 16, 16)],
+                trailing=bytes(1 << 20))
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    tracemalloc.start()
+    try:
+        corpus = cli._load_samples(manifest, str(tmp_path), (16, 16))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert corpus.images[0].pixels.nbytes == 16 * 16 * 3
+    assert held < _SLACK, held
+
+
+def test_crossval_converts_only_the_fold_in_hand(tmp_path, monkeypatch):
+    # every to_tensor call is logged with the phase running it: fold f's
+    # fine-tuning may read only its training images, its scoring each of
+    # its held-out images once, and loading reads none
+    manifest_path = write_dataset(tmp_path / "data", n_per_class=4, side=16, seed=5)
+    (tmp_path / "run.json").write_text(json.dumps({
+        "input_size": [16, 16], "conv_channels": [2, 3], "fc_sizes": [8, 5], "kernel": 3,
+        "batch_size": 4, "epochs_finetune": 2, "folds": 2, "seed": 7,
+        "labeled_manifest": str(manifest_path), "data_root": str(tmp_path / "data"),
+        "checkpoint_dir": str(tmp_path / "ckpt"), "report_dir": str(tmp_path / "reports")}))
+    state, log, loaded = {"phase": None, "fold": -1}, [], []
+    load, convert = cli._load_samples, cli.to_tensor
+
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            state["fold"] += name == "fit"
+            state["phase"] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                state["phase"] = None
+        return run
+
+    monkeypatch.setattr(cli, "_load_samples", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    monkeypatch.setattr(cli, "to_tensor", lambda img: log.append(
+        (state["phase"], state["fold"], img)) or convert(img))
+    monkeypatch.setattr(cli, "finetune", in_phase("fit", cli.finetune))
+    monkeypatch.setattr(cli, "evaluate", in_phase("score", cli.evaluate))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["crossval", "--config", str(tmp_path / "run.json")]) == 0
+
+    index = {id(img): i for i, img in enumerate(loaded[0].images)}
+    split = kfold_split(load_manifest(manifest_path), 2, 7)
+    assert all(phase is not None for phase, _, _ in log)  # loading converted nothing
+    for fold in range(split.k):
+        fit = {index[id(img)] for phase, f, img in log if (phase, f) == ("fit", fold)}
+        score = [index[id(img)] for phase, f, img in log if (phase, f) == ("score", fold)]
+        assert fit == set(split.train_indices(fold))
+        assert sorted(score) == sorted(split.folds[fold])
+
+
+def test_pretrain_reads_each_sample_once():
+    # a sequence that makes its arrays on each read, as the CLI's corpus does:
+    # a pretrain sample reads its image once, for the corrupted input and the target
+    class Counted(Sequence):
+        def __init__(self, images):
+            self.images, self.reads = images, [0] * len(images)
+
+        def __len__(self):
+            return len(self.images)
+
+        def __getitem__(self, i):
+            self.reads[i] += 1
+            return self.images[i].copy()
+
+    config = CAEConfig(input_size=(8, 8), conv_channels=(2, 3), kernel=3)
+    rng = Rng(6)
+    images = [rng.uniform_array((3, 8, 8), 0.0, 1.0) for _ in range(5)]
+    reads = {}
+    for epochs in (0, 2):
+        seq = Counted(images)
+        pretrain(build_cae(config, seed=1), seq, SGDConfig(batch_size=2), epochs, seed=2)
+        reads[epochs] = seq.reads
+    assert [b - a for a, b in zip(reads[0], reads[2])] == [2] * len(images)
