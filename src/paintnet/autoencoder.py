@@ -344,7 +344,7 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
     sample order as they arrive, whatever the thread count, then
     divided by the batch length, so the thread count never changes a bit.
     A dense layer's W gradients stay Rank1 factors, listed in sample
-    order, which sgd_step sums and divides in that order a row at a time.
+    order, which sgd_step applies as one product per column block of W.
     A parameter that is not finite after a step raises NumericError
     naming phase, whether a non-finite gradient or the step itself made
     it so; that check, not a numpy warning, reports an overflow in a
@@ -372,7 +372,7 @@ def train(phase: str, params: dict[str, np.ndarray], count: int, sample, opt: SG
                     stats.append(info)
                     for k, g in grads.items():
                         if isinstance(g, Rank1):
-                            total.setdefault(k, []).append(g)  # summed row by row in the step
+                            total.setdefault(k, []).append(g)  # summed by the step's products
                         elif k in total:
                             total[k] += g
                         else:

@@ -53,7 +53,9 @@ Every forward returns (output, cache) and every matching backward takes
 per-sample calls may run concurrently on disjoint inputs.  A layer's
 backward returns None for the input gradient when asked for none
 (input_grad=False), as the first trained stage of a model is.  A dense
-layer's W gradient is a Rank1, its two factors, not an array.
+layer's W gradient is a Rank1, its two factors, not an array; a batch
+of them steps W as one matrix product per column block (see
+optim.sgd_step).
 """
 
 from __future__ import annotations
@@ -664,10 +666,10 @@ class Rank1:
 
     The factors take O(out + in) memory where the product takes
     out x in: for the classifier's fc1, the largest array in training.
-    sgd_step applies a batch of them one parameter row at a time, and
-    materialize forms the product where a whole array is needed.  There
-    is no __array__, so numpy arithmetic on one fails instead of quietly
-    building the product.
+    sgd_step applies a batch of them as one (out, B) x (B, columns)
+    product per column block of W, and materialize forms the product
+    where a whole array is needed.  There is no __array__, so numpy
+    arithmetic on one fails instead of quietly building the product.
     """
 
     __slots__ = ("gz", "x")

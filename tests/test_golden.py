@@ -39,18 +39,22 @@ PRETRAIN = {
             "18a27adc8a8ed4c1e1d98e54b3b06801f7f735e4ae5671c3d8fc0749a10cb085"),
 }
 
+# The dense layers' W step is one matrix product per column block, which
+# sums a batch's rank-1 terms in the BLAS's order with fused multiply-adds;
+# that moved every classifier checkpoint below (cnn.dpnt and the fold
+# checkpoints), while the loss CSVs and the crossval report kept their bytes
 FINETUNE = {
     # freeze_encoder: (cnn.dpnt, finetune_loss.csv)
-    False: ("f6f963a93e9b64a732d9e55463ac82fe258c446ddbb0f0da660b30c7c65d73c9",
+    False: ("7b31e76394d6aada2b7522f277d34bd5624728f4ea80f894f526c50e9dea766d",
             "181f8594fc037d43fd3bed99889f991284270dddf40cfdd3ac3380361382048b"),
-    True: ("f5863a31a55a529a18ea50591769ec7fa089db09d3b38c6bcd9fe7a168cc3787",
+    True: ("0296e23dc06edf489a5354f46c364e44c1e71b412f1282a42871049448339473",
            "9c692499e2a942efb97401619677b44dcbb513a1bc41950a0e6a0a6059e9acfb"),
 }
 
 CROSSVAL = {
-    "fold_00.dpnt": "e65aa5cec0a089d6b4c67c15be6de6ab9f4c0d6553d8df0ab79ccb9a47707e6e",
-    "fold_01.dpnt": "fbb2f68fdbe433e6b353abe4f7d446e6b425c575ff08fa21929eff1855717fdd",
-    "fold_02.dpnt": "3af70e76c5646abde2a5b4fb90f8b4f77bdd16eac3b33e26709a11ca85283812",
+    "fold_00.dpnt": "881446e1684cb66ddd67214f036b6f712940f1e0f7b6174c30e91399c1961ea9",
+    "fold_01.dpnt": "27f980aa1896636ba3c72180ee0901265b944b416a87aad7f260ff631a9f3878",
+    "fold_02.dpnt": "f09a0dd1e98572b8b442890c0ca47d4948e265642ba29045ed139544563e9fbc",
     "crossval_report.csv": "6c35aa122cd6b67e1965ae795977fb26ba56d79ee1c38222571fffa56ae1dfc6",
 }
 

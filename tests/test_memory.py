@@ -1,4 +1,5 @@
 """Memory: no temporary the size of fc1's weights on the classifier path,
+nor one that grows with its width in the SGD step,
 no page faults per sample once the CLI's heap is warm, and a corpus held
 as its 8-bit pixels, each float64 tensor made only when a sample reads it.
 
@@ -24,14 +25,14 @@ import pytest
 
 import paintnet
 import paintnet.cli as cli
-from paintnet import layers
+from paintnet import layers, optim
 from paintnet.autoencoder import (CAEConfig, build_cae, corrupt, encoder_extract, pretrain,
                                   stage_parameters)
 from paintnet.classifier import CNNConfig, build_cnn, finetune
 from paintnet.data.image import decode_ppm, resample_bilinear, to_tensor
 from paintnet.data.manifest import kfold_split, load_manifest
 from paintnet.data.rng import Rng
-from paintnet.optim import SGDConfig
+from paintnet.optim import SGDConfig, sgd_step
 from paintnet.persist import load_checkpoint, save_checkpoint
 
 from conftest import encode_ppm, random_image, write_dataset
@@ -132,6 +133,19 @@ def test_winograd_calls_stay_within_their_stated_scratch(mid_cae):
     gw, peak = _peak(lambda: layers._winograd_weight_grad(flat, gz))
     assert gw.shape == (o, c, 5, 5)
     assert peak <= 8 * (25 * o * c + 128 * o * c + row + 25 * o * c) + _SLACK, peak
+
+
+@pytest.mark.parametrize("width", [1 << 16, 1 << 18])
+def test_rank1_step_stays_within_its_block_budget(width):
+    # 16 factors on a (16, width) W, at two widths 4x apart: the step's
+    # scratch is one column block, the x slices and their product, so it
+    # stays within optim.STEP_BLOCK_BYTES however wide a row of W is
+    rng = Rng(7)
+    weights = np.zeros((16, width))
+    factors = [layers.Rank1(rng.uniform_array((16,), -1.0, 1.0),
+                            rng.uniform_array((width,), -1.0, 1.0)) for _ in range(16)]
+    _, peak = _peak(lambda: sgd_step({"W": weights}, {"W": factors}, 0.01))
+    assert peak <= optim.STEP_BLOCK_BYTES + _SLACK, peak
 
 
 def _has_mallopt() -> bool:

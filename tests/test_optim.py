@@ -1,12 +1,13 @@
 """Optimizer: schedule arithmetic, parameter stepping, gradient checking."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from paintnet import autoencoder
+from paintnet import autoencoder, optim
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract, train
 from paintnet.classifier import CNNConfig, build_cnn
 from paintnet.data.rng import Rng
@@ -188,7 +189,7 @@ def test_grad_check_error_shrinks_with_eps_on_smooth_model():
 
 
 # ---------------------------------------------------------------------------
-# a batch's dense W gradients as rank-1 factors, bit for bit
+# a batch's dense W gradients as rank-1 factors
 # ---------------------------------------------------------------------------
 
 def _reference_step(params, per_sample, lr):
@@ -241,20 +242,85 @@ def _signed_zero_factors(rng, out_n, in_n):
     return gz, x
 
 
-@pytest.mark.parametrize("shape", [(5, 7), (3, 33), (17, 4)])
-@pytest.mark.parametrize("batch", [1, 2, 3, 9, 16])
-def test_rank1_step_matches_summed_outer_products_bytewise(shape, batch):
+def _dense_batch(shape, batch):
+    """(params, per-sample gradients): a seeded fc.W and fc.b, and batch samples
+    of signed-zero factors whose last row of gz is zero in every sample."""
     out_n, in_n = shape
     rng = Rng(100 * out_n + batch)
     weights = rng.uniform_array(shape, -1.0, 1.0)
-    weights[-1] = np.where(np.arange(in_n) % 2, -0.0, 0.0)  # signs a zero row keeps
+    weights[-1, ::3] = np.where(np.arange(0, in_n, 3) % 2, -0.0, 0.0)
     params = {"fc.W": weights, "fc.b": rng.uniform_array((out_n,), -1.0, 1.0)}
     per_sample = []
     for _ in range(batch):
         gz, x = _signed_zero_factors(rng, out_n, in_n)
-        gz[-1] = -0.0 if batch % 2 else 0.0  # the last row's gradient is all zero
+        gz[-1] = -0.0 if batch % 2 else 0.0
         per_sample.append({"fc.W": Rank1(gz, x), "fc.b": gz.copy()})
-    _assert_step_bytes_match(params, per_sample, lr=0.37)
+    return params, per_sample
+
+
+SHAPES = [(5, 7), (3, 33), (17, 4)]
+BATCHES = [1, 2, 3, 9, 16]
+# (64, 10002) takes several column blocks at the default width; the last
+# few columns of 10002, 131 and 579 are not a whole 8, which a block's end
+# would sum in another order
+WIDE_SHAPES = [(17, 1000), (64, 10002), (17, 131), (400, 579)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_rank1_step_is_within_its_error_bound_of_the_exact_mean(shape, batch):
+    # The step's element is fl(W + dot), dot a B-term product of the
+    # rounded -lr/B * gz and x, so with u = 2^-53 and S = lr/B * sum |gz x|
+    # it lies within (B + 3) u S of the exact update, plus u |result| for
+    # the final add
+    lr = 0.37
+    params, per_sample = _dense_batch(shape, batch)
+    ours = {k: p.copy() for k, p in params.items()}
+    order = _one_train_batch(ours, per_sample, lr)
+    w0 = params["fc.W"].copy()
+    _reference_step(params, [per_sample[i] for i in order], lr)
+    assert ours["fc.b"].tobytes() == params["fc.b"].tobytes()  # the array path's bytes
+
+    u, scale = Fraction(1, 2 ** 53), Fraction(lr) / batch
+    factors = [(g["fc.W"].gz, g["fc.W"].x) for g in per_sample]
+    for i, j in np.ndindex(shape):
+        terms = [Fraction(gz[i]) * Fraction(x[j]) for gz, x in factors]
+        exact = Fraction(w0[i, j]) - scale * sum(terms)
+        got = Fraction(ours["fc.W"][i, j])
+        bound = (batch + 3) * u * scale * sum(abs(t) for t in terms) + u * abs(got)
+        assert abs(got - exact) <= bound, (i, j)
+
+
+@pytest.mark.parametrize("shape", SHAPES + WIDE_SHAPES)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_rank1_step_bytes_do_not_depend_on_the_block_width(monkeypatch, shape, batch):
+    # a column keeps its bytes wherever a whole group of 8 columns from its
+    # block's start holds it; the blocks start at multiples of 8 and the
+    # last n % 8 columns are a block of their own, so 64 columns a block
+    # moves no bit
+    params, per_sample = _dense_batch(shape, batch)
+    default = {k: p.copy() for k, p in params.items()}
+    _one_train_batch(default, per_sample, 0.37)
+    monkeypatch.setattr(optim, "STEP_BLOCK_BYTES", 0)
+    assert optim._step_columns(batch + shape[0]) == 64
+    _one_train_batch(params, per_sample, 0.37)
+    for k in params:
+        assert default[k].tobytes() == params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("shape", SHAPES + WIDE_SHAPES)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_rank1_step_keeps_the_bytes_of_a_row_with_zero_gradient(shape, batch):
+    # the last row's gz is +-0 in every factor: its nonzero entries keep
+    # their bytes, and its zeros stay zeros, whatever their sign
+    params, per_sample = _dense_batch(shape, batch)
+    before = params["fc.W"][-1].copy()
+    _one_train_batch(params, per_sample, 0.37)
+    after = params["fc.W"][-1]
+    nonzero = before != 0
+    assert nonzero.any() and not nonzero.all()
+    assert after[nonzero].tobytes() == before[nonzero].tobytes()
+    assert (after[~nonzero] == 0).all()
 
 
 def test_array_only_pretrain_batch_is_unchanged():
