@@ -205,21 +205,40 @@ class StageStack:
     def named_parameters(self) -> dict[str, np.ndarray]:
         return stage_parameters(self.stages[self.trained_from:])
 
-    def forward(self, x: np.ndarray):
-        """Run every stage; returns (output, caches keyed by stage name)."""
+    def forward(self, x: np.ndarray, keep: bool = True):
+        """Run every stage; returns (output, caches keyed by stage name).
+
+        keep=False is the inference pass, and caches comes back empty:
+        no conv or dense stage keeps its input or pre-activation, no pool
+        computes switches, and each conv and dense stage applies its bias
+        and activation in place.  A conv followed by a pool runs that
+        pool itself, so a relu conv can pool its raw correlation first
+        (see _SameCorrelation.forward).  Where the maps a pool reads hold
+        no -0.0, as relu and sigmoid outputs never do, the output's bytes
+        are the training pass's (see maxpool2x2_forward).  An unpool reads
+        its pool's switches, so only a model without one (the classifier)
+        runs with keep=False.
+        """
         if x.shape != self.input_shape:
             raise ShapeError(f"model input must be {self.input_shape}, got {x.shape}")
         caches = {}
-        for st in self.stages:
+        fused = None  # the pool stage an inference conv ran on its own output
+        for st, after in zip(self.stages, self.stages[1:] + [None]):
+            if st is fused:
+                continue
             if st.kind == "pool":
-                x, caches[st.name] = maxpool2x2_forward(x)
+                x, cache = maxpool2x2_forward(x, keep=keep)
             elif st.kind == "unpool":
-                x = unpool2x2_forward(x, caches[st.ref])
+                x, cache = unpool2x2_forward(x, caches[st.ref]), None
             elif st.kind == "flatten":
-                caches[st.name] = x.shape
-                x = x.reshape(-1)
+                x, cache = x.reshape(-1), x.shape
+            elif not keep and after is not None and after.kind == "pool":
+                x, cache = st.layer.forward(x, keep=False, pool=maxpool2x2_forward)
+                fused = after
             else:
-                x, caches[st.name] = st.layer.forward(x)
+                x, cache = st.layer.forward(x, keep=keep)
+            if keep and cache is not None:
+                caches[st.name] = cache
         return x, caches
 
     def backward(self, caches, grad_out: np.ndarray) -> dict[str, np.ndarray | Rank1]:

@@ -57,9 +57,9 @@ class CNNModel(StageStack):
         super().__init__(input_shape, stages, head if config.freeze_encoder else 0)
         self.config = config
 
-    def forward(self, x: np.ndarray):
-        """Class probabilities for one image; returns (probs, caches)."""
-        logits, caches = super().forward(x)
+    def forward(self, x: np.ndarray, keep: bool = True):
+        """Class probabilities for one image; returns (probs, caches), caches empty unless keep."""
+        logits, caches = super().forward(x, keep)
         return softmax(logits), caches
 
     def loss(self, probs: np.ndarray, target: int) -> tuple[float, np.ndarray]:
@@ -91,8 +91,13 @@ def build_cnn(encoder: StageStack, config: CNNConfig, seed: int) -> CNNModel:
 
 
 def predict(model: CNNModel, x: np.ndarray) -> int:
-    """Argmax class index; ties go to the lowest index."""
-    return int(np.argmax(model.forward(x)[0]))
+    """Argmax class index; ties go to the lowest index.
+
+    It runs the inference pass, forward(x, keep=False), which keeps no
+    cache and computes no pool switches, and whose probabilities are the
+    training forward's byte for byte.
+    """
+    return int(np.argmax(model.forward(x, keep=False)[0]))
 
 
 def finetune(model: CNNModel, samples: Sequence[tuple[np.ndarray, int]], opt: SGDConfig,

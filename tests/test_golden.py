@@ -24,10 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paintnet import autoencoder, layers
 from paintnet.autoencoder import CAEConfig, build_cae, encoder_extract
-from paintnet.classifier import CNNConfig, build_cnn
+from paintnet.classifier import CNNConfig, CNNModel, build_cnn
 from paintnet.cli import main
 from paintnet.data.rng import Rng
+from paintnet.persist import load_checkpoint
 
 from conftest import write_dataset
 
@@ -138,6 +140,11 @@ def test_finetune_bytes_non_power_of_two_batches(dataset, freeze):
                       freeze_encoder=freeze, checkpoint_dir=str(ckpt))
     assert (_sha(ckpt / "cnn.dpnt"), _sha(reports / "finetune_loss.csv")) == FINETUNE[freeze], \
         _moved()
+    model = load_checkpoint(ckpt / "cnn.dpnt")
+    rng = Rng(25)
+    for _ in range(4):
+        x = rng.uniform_array(model.input_shape, 0.0, 1.0)
+        assert model.forward(x, keep=False)[0].tobytes() == model.forward(x)[0].tobytes()
 
 
 def test_crossval_bytes(dataset):
@@ -154,9 +161,84 @@ def test_gradcheck_small_stdout():
 
 
 def test_forward_probability_bytes_non_square_pools():
+    # the training forward and the inference pass predict runs give the same bytes
     cae = build_cae(CAEConfig(input_size=(16, 24), conv_channels=(4, 6), kernel=3), seed=12)
     model = build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(8, 5)), seed=13)
     rng = Rng(14)
-    probs = [model.forward(rng.uniform_array((3, 16, 24), 0.0, 1.0))[0] for _ in range(8)]
-    assert hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest() == FORWARD_16x24, \
-        _moved()
+    images = [rng.uniform_array((3, 16, 24), 0.0, 1.0) for _ in range(8)]
+    for keep in (True, False):
+        probs = [model.forward(x, keep=keep)[0] for x in images]
+        assert hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest() == FORWARD_16x24, \
+            _moved()
+
+
+# (input_size, conv_channels) of the desk and mid profiles, with the bench's head
+PROFILES = {"desk": ((64, 64), (8, 16)), "mid": ((128, 128), (32, 64))}
+
+
+@pytest.fixture(scope="module", params=sorted(PROFILES))
+def profile_cnn(request):
+    size, channels = PROFILES[request.param]
+    cae = build_cae(CAEConfig(input_size=size, conv_channels=channels), seed=21)
+    return build_cnn(encoder_extract(cae), CNNConfig(fc_sizes=(64, 32)), seed=22)
+
+
+def _planted_inputs(shape):
+    """Seeded images, then a NaN pixel, +inf and -inf pixels, and an all-zero image."""
+    rng = Rng(23)
+    images = [rng.uniform_array(shape, 0.0, 1.0) for _ in range(4)]
+    images[1][0, 5, 7] = np.nan
+    images[2][1, 3, 3], images[2][2, 9, 10] = np.inf, -np.inf
+    return images + [np.zeros(shape)]
+
+
+def _planted_biases(model):
+    """(name, {stage: bias}): as built (zero), drawn, -0.0 on every conv, and a non-finite enc1.b.
+
+    In the last, pooling the raw correlation first with b = +inf over a
+    window holding -inf would give inf where the exact order gives NaN.
+    """
+    c1, c2 = model.layer("enc1").out_channels, model.layer("enc2").out_channels
+    rng = Rng(24)
+    yield "seeded", {}
+    yield "drawn", {"enc1": rng.uniform_array((c1,), -0.5, 0.5),
+                    "enc2": rng.uniform_array((c2,), -0.5, 0.5)}
+    yield "negative zero", {"enc1": np.full(c1, -0.0), "enc2": np.full(c2, -0.0)}
+    yield "non-finite", {"enc1": np.where(np.arange(c1) % 2, np.inf, -np.inf)}
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_inference_probabilities_match_the_training_forward(profile_cnn, freeze, monkeypatch):
+    # predict's pass, forward(x, keep=False), keeps nothing and computes no
+    # switches, yet its probabilities are the training forward's, byte for byte
+    model = CNNModel(CNNConfig(fc_sizes=(64, 32), freeze_encoder=freeze),
+                     profile_cnn.input_shape, profile_cnn.stages)
+    # every stage runs through the names the bench's tracer patches; each
+    # call's cache is recorded
+    calls = []
+    for owner, attr in ((autoencoder, "maxpool2x2_forward"), (layers.Conv2DLayer, "forward"),
+                        (layers.DenseLayer, "forward")):
+        def recorded(*args, _fn=getattr(owner, attr), _name=attr, **kwargs):
+            out, cache = _fn(*args, **kwargs)
+            calls.append((_name, cache))
+            return out, cache
+        monkeypatch.setattr(owner, attr, recorded)
+    for name, biases in _planted_biases(model):
+        saved = {stage: model.layer(stage).bias.copy() for stage in biases}
+        for stage, b in biases.items():
+            model.layer(stage).bias[...] = b
+        try:
+            for x in _planted_inputs(model.input_shape):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want, caches = model.forward(x)
+                    assert caches
+                    calls.clear()
+                    got, caches = model.forward(x, keep=False)
+                assert caches == {}
+                assert [n for n, _ in calls].count("forward") == 5, name
+                assert "maxpool2x2_forward" in dict(calls), name
+                assert all(cache is None for _, cache in calls), name
+                assert got.tobytes() == want.tobytes(), name
+        finally:
+            for stage, b in saved.items():
+                model.layer(stage).bias[...] = b

@@ -727,6 +727,16 @@ def test_pool_matches_bruteforce():
                 assert 2 * i <= r < 2 * i + 2 and 2 * j <= c < 2 * j + 2
 
 
+def test_pool_leaves_a_single_window_untouched():
+    # one channel, one window: the de-interleaved planes were x itself
+    x = np.array([[[0.0, -0.0], [-1.0, 2.0]]])
+    before = x.copy()
+    for keep in (True, False):
+        y, _ = maxpool2x2_forward(x, keep=keep)
+        assert_same_bytes(x, before)
+        assert y[0, 0, 0] == 2.0
+
+
 def test_pool_odd_extent_rejected():
     with pytest.raises(ShapeError):
         maxpool2x2_forward(np.zeros((1, 3, 4)))
@@ -826,7 +836,11 @@ def argmax_pool_reference(x):
     return pooled, rows, cols
 
 
-def test_pool_bytes_match_argmax_reference():
+def pool_draws():
+    """(case, x, gen): 1500 pool inputs over SPECIALS or half-integers, every other one strided.
+
+    gen is the generator that drew x, for any further draws of the case.
+    """
     gen = np.random.default_rng(909)
     for case in range(1500):
         c = int(gen.integers(1, 4))
@@ -839,9 +853,14 @@ def test_pool_bytes_match_argmax_reference():
         if case % 2:  # strided views reach pool and unpool backward from the conv layers
             big = np.zeros((c, shape[1] + 1, shape[2] + 2))
             big[:, 1:, 1:-1] = draws
-            x = big[:, 1:, 1:-1]
+            yield case, big[:, 1:, 1:-1], gen
         else:
-            x = draws
+            yield case, draws, gen
+
+
+def test_pool_bytes_match_argmax_reference():
+    for case, x, gen in pool_draws():
+        c, shape = x.shape[0], x.shape
         pooled, s = maxpool2x2_forward(x)
         ref_pooled, ref_rows, ref_cols = argmax_pool_reference(x)
         assert_same_bytes(pooled, ref_pooled)
@@ -857,6 +876,84 @@ def test_pool_bytes_match_argmax_reference():
         g = gen.choice(SPECIALS, size=shape)
         g_view = g if case % 2 == 0 else g.transpose(0, 2, 1).copy().transpose(0, 2, 1)
         assert_same_bytes(unpool2x2_backward(s, g_view), g[chan, ref_rows, ref_cols])
+
+
+def pool_windows(x):
+    """(c, h/2, w/2, 4): each 2x2 window's elements in column-major order (tl, bl, tr, br)."""
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 4, 2).reshape(c, h // 2, w // 2, 4)
+
+
+def test_values_only_pool_contract():
+    # keep=False: no switches; values byte-equal to the argmax reference
+    # wherever no window's maximum is a (+0.0, -0.0) tie, a NaN window's
+    # first NaN, and on a tie the last tied element in column-major order
+    ties = 0
+    for _, x, _ in pool_draws():
+        pooled, switches = maxpool2x2_forward(x, keep=False)
+        assert switches is None
+        ref, _, _ = argmax_pool_reference(x)
+        win = pool_windows(x)
+        zeros = win == 0.0
+        tie = ((ref == 0.0) & (zeros & np.signbit(win)).any(axis=3)
+               & (zeros & ~np.signbit(win)).any(axis=3))
+        ties += int(tie.sum())
+        assert_same_bytes(pooled[~tie], ref[~tie])
+        last = 3 - (zeros[..., ::-1]).argmax(axis=3)
+        assert_same_bytes(pooled[tie], np.take_along_axis(win, last[..., None], axis=3)[..., 0][tie])
+    assert ties > 100  # the draws reach the rule that differs
+
+
+def test_values_only_pool_zero_ties():
+    # np.maximum(+0.0, -0.0) is -0.0, its second operand, and the rows are
+    # compared first; the switches' values take the first zero in row-major order
+    for window, last, first in (([[0.0, -0.0], [-1.0, -1.0]], -0.0, 0.0),
+                                ([[-0.0, 0.0], [-1.0, -1.0]], 0.0, -0.0),
+                                ([[0.0, -1.0], [-0.0, -1.0]], -0.0, 0.0),
+                                ([[0.0, -0.0], [-0.0, 0.0]], 0.0, 0.0)):
+        x = np.array([window])
+        assert_same_bytes(maxpool2x2_forward(x, keep=False)[0], np.full((1, 1, 1), last))
+        assert_same_bytes(maxpool2x2_forward(x)[0], np.full((1, 1, 1), first))
+
+
+def test_inference_conv_matches_its_training_forward_then_pool():
+    # keep=False, pooled or not, against the training forward and the
+    # switches' pool: a relu conv pools its raw correlation first unless its
+    # bias is not finite or a pooled sum holds a NaN.  b = +inf over a window
+    # holding -inf is the case where pooling first would give inf, not NaN
+    rng = Rng(31)
+    weights = init_weights((4, 3, 3, 3), rng)
+    base = rng.uniform_array((3, 8, 10), -1.0, 1.0)
+    inputs = [base, np.zeros_like(base)]
+    for pixel in (np.nan, np.inf, -np.inf):
+        inputs.append(base.copy())
+        inputs[-1][1, 4, 5] = pixel
+    biases = [rng.uniform_array((4,), -0.5, 0.5), np.zeros(4), np.full(4, -0.0),
+              np.full(4, np.inf), np.full(4, -np.inf), np.array([np.inf, -np.inf, 0.5, np.nan])]
+    for activation in ("relu", "sigmoid"):
+        for bias in biases:
+            layer = Conv2DLayer(weights, bias, activation)
+            for x in inputs:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    y, _ = layer.forward(x)
+                    pooled, _ = maxpool2x2_forward(y)
+                    got, cache = layer.forward(x, keep=False)
+                    assert cache is None
+                    assert_same_bytes(got, y)
+                    got, cache = layer.forward(x, keep=False, pool=maxpool2x2_forward)
+                assert cache is None
+                assert_same_bytes(got, pooled)
+
+
+def test_inference_dense_matches_its_training_forward():
+    rng = Rng(32)
+    x = rng.uniform_array((6,), -1.0, 1.0)
+    for activation in ACTIVATIONS:
+        layer = DenseLayer(rng.uniform_array((5, 6), -1.0, 1.0), rng.uniform_array((5,), -1.0, 1.0),
+                           activation)
+        got, cache = layer.forward(x, keep=False)
+        assert cache is None
+        assert_same_bytes(got, layer.forward(x)[0])
 
 
 # ---------------------------------------------------------------------------

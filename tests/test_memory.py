@@ -1,7 +1,8 @@
 """Memory: no temporary the size of fc1's weights on the classifier path,
-nor one that grows with its width in the SGD step,
-no page faults per sample once the CLI's heap is warm, and a corpus held
-as its 8-bit pixels, each float64 tensor made only when a sample reads it.
+nor one that grows with its width in the SGD step, no forward cache kept
+by predict, no page faults per sample once the CLI's heap is warm, and a
+corpus held as its 8-bit pixels, each float64 tensor made only when a
+sample reads it.
 
 tracemalloc sees numpy's array allocations, and only those made after it
 starts, so a peak taken around one call is the memory that call needs
@@ -28,7 +29,7 @@ import paintnet.cli as cli
 from paintnet import layers, optim
 from paintnet.autoencoder import (CAEConfig, build_cae, corrupt, encoder_extract, pretrain,
                                   stage_parameters)
-from paintnet.classifier import CNNConfig, build_cnn, finetune
+from paintnet.classifier import CNNConfig, build_cnn, finetune, predict
 from paintnet.data.image import decode_ppm, resample_bilinear, to_tensor
 from paintnet.data.manifest import kfold_split, load_manifest
 from paintnet.data.rng import Rng
@@ -110,6 +111,20 @@ def test_mid_pretrain_sample_frees_caches_during_backward(mid_cae):
     mid_cae.loss_and_param_grads(noisy, x)
     _, peak = _peak(lambda: mid_cae.loss_and_param_grads(noisy, x))
     assert peak < 25 << 20, peak / 2 ** 20
+
+
+def test_mid_predict_keeps_no_forward_cache(mid_cae):
+    # one mid-profile forward after a warm-up: 14.78 MiB for the training
+    # forward, which holds every conv's padded input and pre-activation and
+    # every pool's switches until it returns, 7.13 MiB for predict's pass,
+    # which keeps none of them
+    cnn = build_cnn(encoder_extract(mid_cae), CNNConfig(fc_sizes=(64, 32)), seed=2)
+    x = Rng(3).uniform_array(mid_cae.input_shape, 0.0, 1.0)
+    cnn.forward(x)
+    predict(cnn, x)
+    _, train_peak = _peak(lambda: cnn.forward(x))
+    _, predict_peak = _peak(lambda: predict(cnn, x))
+    assert predict_peak < 0.6 * train_peak, (predict_peak / 2 ** 20, train_peak / 2 ** 20)
 
 
 # bytes tracemalloc may see beyond the arrays a docstring counts: Python
